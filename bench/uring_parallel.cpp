@@ -1,7 +1,7 @@
 // Multi-reactor real-I/O microbench: the same 4-device sequential-stream
-// workload through run_experiment_real at backend.reactors = 1 and 2, so
-// the reactor-scaling claim ("aggregate throughput grows when the device
-// groups split across threads") gets a number instead of an anecdote.
+// workload through run_experiment (backend.kind=real) at backend.reactors =
+// 1 and 2, so the reactor-scaling claim ("aggregate throughput grows when the
+// device groups split across threads") gets a number instead of an anecdote.
 //
 // Requires a build with -DSST_WITH_URING=ON and a pattern-formatted
 // backing file (scripts/mkpattern.py); exits 2 without the backend and 1

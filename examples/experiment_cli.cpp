@@ -58,7 +58,7 @@
 //                               a backing file (requires a build with
 //                               -DSST_WITH_URING=ON; exit code 4 otherwise)
 //   backend.path=/path/file     backing file for backend.kind=real, carved
-//                               into one slice per logical device
+//                               into one slice per physical device
 //                               (pre-format with scripts/mkpattern.py)
 //   backend.queue_depth=64      per-device io_uring in-flight depth
 //   backend.direct=true         try O_DIRECT first (tmpfs and friends fall
@@ -66,7 +66,7 @@
 //   backend.reactors=1          reactor threads; > 1 carves the devices into
 //                               per-reactor groups, each with its own rings
 //                               and epoll loop (the real mirror of
-//                               sim.shards)
+//                               sim.shards); must stay 1 with backend.kind=sim
 //
 // Exit codes: 0 = success, 1 = usage/config/runtime error, 3 = SLO breach,
 // 4 = backend.kind=real without an io_uring build. `--help` prints the key

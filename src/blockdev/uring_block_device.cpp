@@ -37,10 +37,13 @@
 #include <atomic>
 #include <cassert>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <deque>
+#include <new>
 #include <string>
+#include <unordered_map>
 
 namespace sst::blockdev {
 
@@ -90,6 +93,38 @@ bool aligned_for_direct(const BlockRequest& request, ByteOffset file_offset) {
          (file_offset % kDirectAlign) == 0 && (request.length % kDirectAlign) == 0;
 }
 
+/// Device-owned buffers for data-less requests: a real device cannot
+/// transfer into nothing, so a request without a data pointer borrows a
+/// 4096-aligned (O_DIRECT-capable), zero-initialised buffer for its stay in
+/// the ring. Buffers are recycled per size, so a closed loop stops
+/// allocating after its first lap.
+class ScratchPool {
+ public:
+  std::byte* acquire(Bytes size) {
+    std::vector<std::byte*>& free_list = free_[size];
+    if (!free_list.empty()) {
+      std::byte* buffer = free_list.back();
+      free_list.pop_back();
+      return buffer;
+    }
+    const Bytes rounded = (size + kDirectAlign - 1) / kDirectAlign * kDirectAlign;
+    void* mem = std::aligned_alloc(kDirectAlign, rounded);
+    if (mem == nullptr) throw std::bad_alloc();
+    std::memset(mem, 0, rounded);
+    owned_.emplace_back(static_cast<std::byte*>(mem));
+    return owned_.back().get();
+  }
+
+  void release(std::byte* buffer, Bytes size) { free_[size].push_back(buffer); }
+
+ private:
+  struct FreeDeleter {
+    void operator()(std::byte* ptr) const { std::free(ptr); }
+  };
+  std::unordered_map<Bytes, std::vector<std::byte*>> free_;
+  std::vector<std::unique_ptr<std::byte, FreeDeleter>> owned_;
+};
+
 }  // namespace
 
 struct UringBlockDevice::Impl {
@@ -134,6 +169,7 @@ struct UringBlockDevice::Impl {
     std::uint32_t next_free = UINT32_MAX;
     std::uint32_t retries = 0;  ///< consecutive -EAGAIN/-EINTR resubmits
     bool alive = false;
+    bool scratch = false;  ///< `request.data` is borrowed from `scratch_pool`
   };
   std::vector<Pending> pending;
   std::uint32_t free_head = UINT32_MAX;
@@ -141,6 +177,7 @@ struct UringBlockDevice::Impl {
 
   /// FIFO of accepted requests waiting for a ring slot.
   std::deque<BlockRequest> backlog;
+  ScratchPool scratch_pool;
 
   struct Region {
     std::byte* base = nullptr;
@@ -259,11 +296,22 @@ struct UringBlockDevice::Impl {
     return static_cast<std::uint32_t>(pending.size() - 1);
   }
 
-  void release_pending(std::uint32_t index) {
-    pending[index].request = BlockRequest{};
-    pending[index].alive = false;
-    pending[index].next_free = free_head;
+  /// Take `pending[index]`'s request out of the ring, returning any
+  /// borrowed scratch buffer, and recycle the slot.
+  BlockRequest retire(std::uint32_t index) {
+    Pending& entry = pending[index];
+    BlockRequest done = std::move(entry.request);
+    if (entry.scratch) {
+      scratch_pool.release(done.data, done.length);
+      done.data = nullptr;
+    }
+    entry.request = BlockRequest{};
+    entry.alive = false;
+    entry.next_free = free_head;
     free_head = index;
+    --inflight;
+    ++stats.completed;
+    return done;
   }
 
   /// Registered region containing [data, data+length), or -1.
@@ -349,10 +397,7 @@ struct UringBlockDevice::Impl {
     staged -= count;
     for (const std::uint32_t index : failed) {
       ++stats.errors;
-      ++stats.completed;
-      const BlockRequest done = std::move(pending[index].request);
-      release_pending(index);
-      --inflight;
+      const BlockRequest done = retire(index);
       if (done.on_complete) done.on_complete(ctx->now(), IoStatus::kMediaError);
     }
   }
@@ -390,6 +435,10 @@ struct UringBlockDevice::Impl {
     const std::uint32_t index = acquire_pending();
     Pending& entry = pending[index];
     entry.request = std::move(request);
+    entry.scratch = entry.request.data == nullptr;
+    if (entry.scratch) {
+      entry.request.data = scratch_pool.acquire(entry.request.length);
+    }
     entry.done = 0;
     entry.retries = 0;
     entry.buf_index = region_of(entry.request.data, entry.request.length);
@@ -433,11 +482,8 @@ struct UringBlockDevice::Impl {
       }
       const IoStatus status = cqe.res <= 0 ? IoStatus::kMediaError : IoStatus::kOk;
       if (status != IoStatus::kOk) ++stats.errors;
-      ++stats.completed;
       ++completed_requests;
-      const BlockRequest done = std::move(entry.request);
-      release_pending(index);
-      --inflight;
+      const BlockRequest done = retire(index);
       if (done.on_complete) done.on_complete(ctx->now(), status);
     }
     // Ring slots freed: admit parked requests.
@@ -571,13 +617,6 @@ void UringBlockDevice::submit(BlockRequest request) {
   assert(request.offset + request.length <= impl_->capacity);
 
   ++impl_->stats.submitted;
-  if (request.data == nullptr) {
-    // Nothing to transfer; complete immediately (timing-only requests are
-    // a simulation concept).
-    ++impl_->stats.completed;
-    if (request.on_complete) request.on_complete(impl_->ctx->now(), IoStatus::kOk);
-    return;
-  }
   if (impl_->inflight >= impl_->params.queue_depth) {
     impl_->backlog.push_back(std::move(request));
     impl_->stats.backlog_peak = std::max<std::uint64_t>(impl_->stats.backlog_peak,

@@ -32,6 +32,8 @@
 //    extent-slab regions) are used as io_uring fixed buffers: requests whose
 //    data pointer falls inside a registered region submit READ_FIXED /
 //    WRITE_FIXED and skip the per-op pin/unpin.
+//  - Requests without a data pointer borrow a recycled device-owned scratch
+//    buffer and go through the ring like any other request.
 //  - Short reads/writes are transparently resubmitted for the remainder,
 //    and transient kernel results (-EAGAIN/-EINTR) are retried a bounded
 //    number of times; any other completion error surfaces as
@@ -124,9 +126,12 @@ class UringBlockDevice final : public BlockDevice, public exec::CompletionDriver
   ~UringBlockDevice() override;
 
   /// Asserts sector alignment and slice bounds like every other device.
-  /// Requests without a data pointer are completed inline (a real device
-  /// cannot transfer into nothing; timing-only probes are a simulator
-  /// concept).
+  /// Never completes inline: every request, including one without a data
+  /// pointer, completes from the ring. A data-less request transfers
+  /// through a device-owned scratch buffer (4096-aligned, zero-initialised
+  /// when first allocated, recycled per size), so timing-only callers —
+  /// raw clients, the server's direct paths — cost what a real read costs.
+  /// A data-less write stores whatever that buffer holds.
   void submit(BlockRequest request) override;
 
   [[nodiscard]] Bytes capacity() const override;

@@ -1,8 +1,7 @@
-// Stat-merge helpers shared by the parallel runners: the sharded sim engine
-// (run_experiment_sharded) and the multi-reactor real engine
-// (run_experiment_real with backend.reactors > 1) both split a deployment
-// into slices that each own their stats, then fold the slices back into one
-// ExperimentResult with these adders.
+// Stat-merge helpers for the experiment runner's merge step: a run splits
+// the deployment into cells (sim shards or real reactors) that each own
+// their stats, then folds the cells back into one ExperimentResult with
+// these adders.
 #pragma once
 
 #include <algorithm>

@@ -28,14 +28,14 @@
 namespace sst::experiment {
 
 /// Which execution backend carries the experiment (`backend.*` keys).
-/// kSim is the default and the only deterministic one; kReal replays the
-/// same scheduler/client wiring against real files through the io_uring
-/// block device on a wall-clock ExecutionContext.
+/// kSim is the default and the only deterministic one; kReal runs the same
+/// device stack, scheduler and client wiring against real files through
+/// the io_uring block device on wall-clock ExecutionContexts.
 struct BackendConfig {
   enum class Kind : std::uint8_t { kSim, kReal };
   Kind kind = Kind::kSim;
   /// Backing file for kReal (`backend.path`), pre-formatted with
-  /// scripts/mkpattern.py; carved into one slice per logical device.
+  /// scripts/mkpattern.py; carved into one slice per physical device.
   std::string path;
   /// Per-device io_uring depth (`backend.queue_depth`).
   std::uint32_t queue_depth = 64;
@@ -43,10 +43,11 @@ struct BackendConfig {
   /// on filesystems that refuse it (tmpfs).
   bool direct = true;
   /// Reactor threads for kReal (`backend.reactors`). > 1 carves the logical
-  /// devices into contiguous per-reactor groups, each with its own
-  /// RealContext, rings and clients on a dedicated thread — the real-I/O
-  /// mirror of `sim.shards`. 1 (default) runs the single-reactor engine
-  /// inline, byte-compatible with the pre-reactor metrics surface.
+  /// devices into contiguous per-reactor groups (never splitting a mirror
+  /// group; a stripe collapses to one), each with its own RealContext,
+  /// rings and clients on a dedicated thread — the real-I/O mirror of
+  /// `sim.shards`. 1 (default) runs the single reactor inline. Must stay 1
+  /// with the sim backend.
   std::uint32_t reactors = 1;
 };
 
@@ -97,7 +98,7 @@ struct ExperimentConfig {
   /// per-shard rings merged back into this one after the engine joins.
   obs::FlightRecorder* flight = nullptr;
   /// Execution backend (`backend.*` keys). kSim unless configured
-  /// otherwise; see run_experiment_real() for what kReal supports.
+  /// otherwise; see run_experiment() for what kReal supports.
   BackendConfig backend;
 };
 
@@ -107,7 +108,7 @@ struct ExperimentConfig {
 /// without depending on the uring header.
 struct UringSummary {
   bool enabled = false;
-  std::uint32_t devices = 0;         ///< rings opened (one per logical device)
+  std::uint32_t devices = 0;         ///< rings opened (one per physical device)
   std::uint32_t direct_devices = 0;  ///< rings whose backing fd took O_DIRECT
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -124,7 +125,7 @@ struct UringSummary {
   /// Summed flushed-batch-size histogram: bucket i counts batches of
   /// [2^i, 2^(i+1)) SQEs, last bucket open-ended (kUringBatchBuckets wide).
   std::array<std::uint64_t, 8> batch_size_log2{};
-  /// Completed requests per logical device (global device order) — the
+  /// Completed requests per ring (global physical device order) — the
   /// balance figure the multi-reactor CI smoke asserts on.
   std::vector<std::uint64_t> per_device_completed;
 
@@ -221,20 +222,17 @@ struct ExperimentResult {
 
 /// Run one configuration to completion. Deterministic: same config, same
 /// result — except with backend.kind = kReal, where wall-clock timing makes
-/// every run unique.
+/// every run unique. The real backend opens one UringBlockDevice slice of
+/// `backend.path` per physical device and runs the same device stack,
+/// scheduler and client wiring as the simulation on wall-clock reactors.
+/// Throws std::runtime_error on bad plan input (a stream device index out
+/// of range, backend.reactors != 1 with the sim backend) and, on the real
+/// backend, when it is unavailable, backend.path is missing or too small,
+/// sim.shards > 1, or backend.reactors == 0.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// True when the library was built with the io_uring backend
 /// (-DSST_WITH_URING=ON); backend.kind = real is rejected otherwise.
 [[nodiscard]] bool real_backend_available();
-
-/// Run the configuration against real files: one UringBlockDevice slice of
-/// `backend.path` per logical device, the same scheduler/server/client
-/// wiring as the simulation, on a wall-clock execution context. Supports
-/// the flat device view only (no fault injection, raid, network or sharded
-/// engine — those model hardware the real backend actually has). Throws
-/// std::runtime_error when the backend is unavailable or the backing file
-/// doesn't fit the topology.
-[[nodiscard]] ExperimentResult run_experiment_real(const ExperimentConfig& config);
 
 }  // namespace sst::experiment

@@ -1,4 +1,4 @@
-// Shard planning for the parallel experiment runner: how a TopologySpec
+// Shard planning for the experiment runner's sim cells: how a TopologySpec
 // splits into per-shard device-stack slices, which lookahead the barrier
 // uses, and how the global workload seed fans out into per-shard /
 // per-stream seeds. Pure config-time logic (no simulator), separated from
@@ -78,13 +78,5 @@ inline constexpr SimTime kDefaultShardLookahead = usec(500);
                                                   std::uint32_t ordinal) {
   return derive_seed(shard_seed, ordinal);
 }
-
-struct ExperimentConfig;
-struct ExperimentResult;
-
-/// The parallel engine behind run_experiment, for plans with > 1 shard.
-/// Callers go through run_experiment, which plans and dispatches.
-[[nodiscard]] ExperimentResult run_experiment_sharded(const ExperimentConfig& config,
-                                                      const ShardPlan& plan);
 
 }  // namespace sst::experiment
