@@ -98,21 +98,8 @@ inline core::SchedulerParams paper_params(std::uint32_t dispatch, Bytes read_ahe
 using SweepKey = std::vector<std::int64_t>;
 
 /// Cartesian product of axes in ArgsProduct order (first axis outermost).
-inline std::vector<SweepKey> sweep_grid(const std::vector<std::vector<std::int64_t>>& axes) {
-  std::vector<SweepKey> keys{{}};
-  for (const auto& axis : axes) {
-    std::vector<SweepKey> expanded;
-    expanded.reserve(keys.size() * axis.size());
-    for (const SweepKey& prefix : keys) {
-      for (const std::int64_t v : axis) {
-        SweepKey key = prefix;
-        key.push_back(v);
-        expanded.push_back(std::move(key));
-      }
-    }
-    keys = std::move(expanded);
-  }
-  return keys;
+inline std::vector<SweepKey> sweep_grid(const std::vector<SweepKey>& axes) {
+  return experiment::cartesian_product(axes);
 }
 
 /// Lazily-computed parallel sweep over a figure's parameter grid. Built

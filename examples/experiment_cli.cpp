@@ -272,20 +272,12 @@ std::pair<Config, std::vector<SweepAxis>> split_sweep_axes(const Config& merged)
 /// Cartesian product of the axes, as per-point (key, value) assignments.
 std::vector<std::vector<std::pair<std::string, std::string>>> expand_grid(
     const std::vector<SweepAxis>& axes) {
-  std::vector<std::vector<std::pair<std::string, std::string>>> points{{}};
+  std::vector<std::vector<std::pair<std::string, std::string>>> assignments;
   for (const auto& axis : axes) {
-    std::vector<std::vector<std::pair<std::string, std::string>>> expanded;
-    expanded.reserve(points.size() * axis.values.size());
-    for (const auto& prefix : points) {
-      for (const auto& value : axis.values) {
-        auto point = prefix;
-        point.emplace_back(axis.key, value);
-        expanded.push_back(std::move(point));
-      }
-    }
-    points = std::move(expanded);
+    auto& column = assignments.emplace_back();
+    for (const auto& value : axis.values) column.emplace_back(axis.key, value);
   }
-  return points;
+  return experiment::cartesian_product(assignments);
 }
 
 void print_single(const experiment::ExperimentConfig& ec,

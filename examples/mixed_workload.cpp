@@ -22,8 +22,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad arguments: %s\n", parsed.error().message.c_str());
     return 1;
   }
-  const auto n_seq = static_cast<std::uint32_t>(parsed.value().get_int("seq", 16));
-  const auto n_rand = static_cast<std::uint32_t>(parsed.value().get_int("rand", 8));
+  ConfigReader in(parsed.value());
+  const auto n_seq = static_cast<std::uint32_t>(in.get_int("seq", 16));
+  const auto n_rand = static_cast<std::uint32_t>(in.get_int("rand", 8));
+  if (!in.status().ok()) {
+    std::fprintf(stderr, "bad arguments: %s\n", in.status().error().message.c_str());
+    return 1;
+  }
 
   sim::Simulator simulator;
   node::StorageNode node(simulator, node::NodeConfig::base());

@@ -23,12 +23,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad arguments: %s\n", parsed.error().message.c_str());
     return 1;
   }
-  const Config& cfg = parsed.value();
-  const auto streams = static_cast<std::uint32_t>(cfg.get_int("streams", 30));
-  const Bytes request = cfg.get_bytes("request", 64 * KiB);
-  const Bytes read_ahead = cfg.get_bytes("readahead", 8 * MiB);
-  const Bytes memory = cfg.get_bytes("memory", 256 * MiB);
-  const SimTime measure = cfg.get_duration("seconds", sec(10));
+  ConfigReader in(parsed.value());
+  const auto streams = static_cast<std::uint32_t>(in.get_int("streams", 30));
+  const Bytes request = in.get_bytes("request", 64 * KiB);
+  const Bytes read_ahead = in.get_bytes("readahead", 8 * MiB);
+  const Bytes memory = in.get_bytes("memory", 256 * MiB);
+  const SimTime measure = in.get_duration("seconds", sec(10));
+  if (!in.status().ok()) {
+    std::fprintf(stderr, "bad arguments: %s\n", in.status().error().message.c_str());
+    return 1;
+  }
 
   experiment::ExperimentConfig ec;
   ec.topology.node = node::NodeConfig::base();  // 1 controller x 1 disk

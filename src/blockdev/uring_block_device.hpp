@@ -111,6 +111,26 @@ struct UringStats {
                                static_cast<double>(completed)
                          : 0.0;
   }
+
+  /// Field list for merge and export (common/stat_fields.hpp); the ring's
+  /// setup_flags and eventfd_registered are per-device facts, not counters.
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("submitted", s.submitted...);
+    v.sum("completed", s.completed...);
+    v.sum("errors", s.errors...);
+    v.sum("short_resubmits", s.short_resubmits...);
+    v.sum("transient_retries", s.transient_retries...);
+    v.sum("fixed_buffer_ops", s.fixed_buffer_ops...);
+    v.sum("direct_ops", s.direct_ops...);
+    v.peak("backlog_peak", s.backlog_peak...);
+    v.sum("enter_syscalls", s.enter_syscalls...);
+    v.sum("flush_batches", s.flush_batches...);
+    v.sum("sqes_flushed", s.sqes_flushed...);
+    v.peak("batch_size_max", s.batch_size_max...);
+    v.ratio("syscalls_per_request", s.syscalls_per_request()...);
+    v.buckets("batch_size_log2", s.batch_size_log2...);
+  }
 };
 
 class UringBlockDevice final : public BlockDevice, public exec::CompletionDriver {

@@ -82,50 +82,48 @@ std::string Config::get_string(std::string_view key, std::string fallback) const
   return it == entries_.end() ? fallback : it->second;
 }
 
-std::int64_t Config::get_int(std::string_view key, std::int64_t fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(it->second.data(), it->second.data() + it->second.size(), value);
-  return (ec == std::errc{} && ptr == it->second.data() + it->second.size()) ? value : fallback;
+template <typename T, typename Parse>
+T ConfigReader::get(std::string_view key, T fallback, Parse parse) {
+  const auto it = cfg_.entries().find(key);
+  if (it == cfg_.entries().end()) return fallback;
+  const Result<T> parsed = parse(it->second);
+  if (parsed.ok()) return parsed.value();
+  if (status_.ok()) {
+    status_ = make_error(std::string(key) + "=" + it->second + ": " + parsed.error().message);
+  }
+  return fallback;
 }
 
-double Config::get_double(std::string_view key, double fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  return (end == it->second.c_str() + it->second.size()) ? value : fallback;
+std::int64_t ConfigReader::get_int(std::string_view key, std::int64_t fallback) {
+  return get(key, fallback, [](const std::string& text) -> Result<std::int64_t> {
+    std::int64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || ptr != text.data() + text.size()) {
+      return make_error("not an integer");
+    }
+    return value;
+  });
 }
 
-bool Config::get_bool(std::string_view key, bool fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  const auto parsed = parse_bool(it->second);
-  return parsed.ok() ? parsed.value() : fallback;
+double ConfigReader::get_double(std::string_view key, double fallback) {
+  return get(key, fallback, [](const std::string& text) -> Result<double> {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size()) return make_error("not a number");
+    return value;
+  });
 }
 
-Bytes Config::get_bytes(std::string_view key, Bytes fallback) const {
-  const auto checked = get_bytes_checked(key);
-  return checked.ok() ? checked.value() : fallback;
+bool ConfigReader::get_bool(std::string_view key, bool fallback) {
+  return get(key, fallback, Config::parse_bool);
 }
 
-SimTime Config::get_duration(std::string_view key, SimTime fallback) const {
-  const auto checked = get_duration_checked(key);
-  return checked.ok() ? checked.value() : fallback;
+Bytes ConfigReader::get_bytes(std::string_view key, Bytes fallback) {
+  return get(key, fallback, Config::parse_bytes);
 }
 
-Result<Bytes> Config::get_bytes_checked(std::string_view key) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return make_error("missing key: " + std::string(key));
-  return parse_bytes(it->second);
-}
-
-Result<SimTime> Config::get_duration_checked(std::string_view key) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return make_error("missing key: " + std::string(key));
-  return parse_duration(it->second);
+SimTime ConfigReader::get_duration(std::string_view key, SimTime fallback) {
+  return get(key, fallback, Config::parse_duration);
 }
 
 Result<Bytes> Config::parse_bytes(std::string_view text) {

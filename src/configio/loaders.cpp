@@ -46,22 +46,23 @@ Result<std::uint32_t> parse_index(const std::string& text) {
 }  // namespace
 
 Result<disk::DiskParams> load_disk_params(const Config& cfg) {
+  ConfigReader in(cfg);
   disk::DiskParams p = disk::DiskParams::wd800jd();
-  p.geometry.capacity = cfg.get_bytes("disk.capacity", p.geometry.capacity);
-  p.geometry.rpm = static_cast<std::uint32_t>(cfg.get_int("disk.rpm", p.geometry.rpm));
-  p.geometry.heads = static_cast<std::uint32_t>(cfg.get_int("disk.heads", p.geometry.heads));
+  p.geometry.capacity = in.get_bytes("disk.capacity", p.geometry.capacity);
+  p.geometry.rpm = static_cast<std::uint32_t>(in.get_int("disk.rpm", p.geometry.rpm));
+  p.geometry.heads = static_cast<std::uint32_t>(in.get_int("disk.heads", p.geometry.heads));
   p.geometry.num_zones =
-      static_cast<std::uint32_t>(cfg.get_int("disk.zones", p.geometry.num_zones));
+      static_cast<std::uint32_t>(in.get_int("disk.zones", p.geometry.num_zones));
   p.geometry.outer_spt =
-      static_cast<std::uint32_t>(cfg.get_int("disk.outer_spt", p.geometry.outer_spt));
+      static_cast<std::uint32_t>(in.get_int("disk.outer_spt", p.geometry.outer_spt));
   p.geometry.inner_spt =
-      static_cast<std::uint32_t>(cfg.get_int("disk.inner_spt", p.geometry.inner_spt));
-  p.seek.single_cylinder = cfg.get_duration("disk.seek_single", p.seek.single_cylinder);
-  p.seek.average = cfg.get_duration("disk.seek_avg", p.seek.average);
-  p.seek.full_stroke = cfg.get_duration("disk.seek_full", p.seek.full_stroke);
-  p.cache.size = cfg.get_bytes("disk.cache.size", p.cache.size);
+      static_cast<std::uint32_t>(in.get_int("disk.inner_spt", p.geometry.inner_spt));
+  p.seek.single_cylinder = in.get_duration("disk.seek_single", p.seek.single_cylinder);
+  p.seek.average = in.get_duration("disk.seek_avg", p.seek.average);
+  p.seek.full_stroke = in.get_duration("disk.seek_full", p.seek.full_stroke);
+  p.cache.size = in.get_bytes("disk.cache.size", p.cache.size);
   p.cache.num_segments =
-      static_cast<std::uint32_t>(cfg.get_int("disk.cache.segments", p.cache.num_segments));
+      static_cast<std::uint32_t>(in.get_int("disk.cache.segments", p.cache.num_segments));
   if (cfg.contains("disk.cache.read_ahead")) {
     const auto text = cfg.get_string("disk.cache.read_ahead", "segment");
     if (text == "segment" || text == "fill") {
@@ -72,8 +73,9 @@ Result<disk::DiskParams> load_disk_params(const Config& cfg) {
       p.cache.read_ahead = parsed.value();
     }
   }
-  p.interface_rate_bps = cfg.get_double("disk.interface_rate_mbps", 150.0) * 1e6;
-  p.command_overhead = cfg.get_duration("disk.overhead", p.command_overhead);
+  p.interface_rate_bps = in.get_double("disk.interface_rate_mbps", 150.0) * 1e6;
+  p.command_overhead = in.get_duration("disk.overhead", p.command_overhead);
+  if (!in.status().ok()) return in.status().error();
   if (cfg.contains("disk.scheduler")) {
     const auto name = cfg.get_string("disk.scheduler", "fcfs");
     if (name == "fcfs") p.scheduler = disk::SchedulerKind::kFcfs;
@@ -91,22 +93,25 @@ Result<disk::DiskParams> load_disk_params(const Config& cfg) {
 }
 
 Result<ctrl::ControllerParams> load_controller_params(const Config& cfg) {
+  ConfigReader in(cfg);
   ctrl::ControllerParams p = ctrl::ControllerParams::bc4810();
-  p.cache_size = cfg.get_bytes("ctrl.cache", p.cache_size);
-  p.prefetch = cfg.get_bytes("ctrl.prefetch", p.prefetch);
-  p.transfer_rate_bps = cfg.get_double("ctrl.rate_mbps", 450.0) * 1e6;
-  p.command_overhead = cfg.get_duration("ctrl.overhead", p.command_overhead);
+  p.cache_size = in.get_bytes("ctrl.cache", p.cache_size);
+  p.prefetch = in.get_bytes("ctrl.prefetch", p.prefetch);
+  p.transfer_rate_bps = in.get_double("ctrl.rate_mbps", 450.0) * 1e6;
+  p.command_overhead = in.get_duration("ctrl.overhead", p.command_overhead);
+  if (!in.status().ok()) return in.status().error();
   return p;
 }
 
 Result<core::SchedulerParams> load_scheduler_params(const Config& cfg) {
+  ConfigReader in(cfg);
   core::SchedulerParams p;
   p.dispatch_set_size =
-      static_cast<std::uint32_t>(cfg.get_int("sched.dispatch", p.dispatch_set_size));
-  p.read_ahead = cfg.get_bytes("sched.read_ahead", p.read_ahead);
+      static_cast<std::uint32_t>(in.get_int("sched.dispatch", p.dispatch_set_size));
+  p.read_ahead = in.get_bytes("sched.read_ahead", p.read_ahead);
   p.requests_per_residency =
-      static_cast<std::uint32_t>(cfg.get_int("sched.residency", p.requests_per_residency));
-  p.memory_budget = cfg.get_bytes("sched.memory", p.memory_budget);
+      static_cast<std::uint32_t>(in.get_int("sched.residency", p.requests_per_residency));
+  p.memory_budget = in.get_bytes("sched.memory", p.memory_budget);
   if (cfg.contains("sched.policy")) {
     const auto name = cfg.get_string("sched.policy", "round-robin");
     if (name == "round-robin") p.policy = core::DispatchPolicyKind::kRoundRobin;
@@ -114,55 +119,37 @@ Result<core::SchedulerParams> load_scheduler_params(const Config& cfg) {
     else return make_error("unknown sched.policy: '" + name + "'");
   }
   p.classifier.block_bytes =
-      cfg.get_bytes("sched.classifier.block", p.classifier.block_bytes);
+      in.get_bytes("sched.classifier.block", p.classifier.block_bytes);
   p.classifier.offset_blocks = static_cast<std::uint32_t>(
-      cfg.get_int("sched.classifier.offset_blocks", p.classifier.offset_blocks));
+      in.get_int("sched.classifier.offset_blocks", p.classifier.offset_blocks));
   p.classifier.detect_threshold = static_cast<std::uint32_t>(
-      cfg.get_int("sched.classifier.threshold", p.classifier.detect_threshold));
-  p.buffer_timeout = cfg.get_duration("sched.buffer_timeout", p.buffer_timeout);
-  p.pending_timeout = cfg.get_duration("sched.pending_timeout", p.pending_timeout);
-  p.stream_timeout = cfg.get_duration("sched.stream_timeout", p.stream_timeout);
-  p.gc_period = cfg.get_duration("sched.gc_period", p.gc_period);
-  p.materialize_buffers = cfg.get_bool("sched.materialize", p.materialize_buffers);
+      in.get_int("sched.classifier.threshold", p.classifier.detect_threshold));
+  p.buffer_timeout = in.get_duration("sched.buffer_timeout", p.buffer_timeout);
+  p.pending_timeout = in.get_duration("sched.pending_timeout", p.pending_timeout);
+  p.stream_timeout = in.get_duration("sched.stream_timeout", p.stream_timeout);
+  p.gc_period = in.get_duration("sched.gc_period", p.gc_period);
+  p.materialize_buffers = in.get_bool("sched.materialize", p.materialize_buffers);
+  if (!in.status().ok()) return in.status().error();
   const Status valid = p.validate();
   if (!valid.ok()) return valid.error();
   return p;
 }
 
-Result<node::NodeConfig> load_node_config(const Config& cfg) {
-  node::NodeConfig n;
-  n.num_controllers =
-      static_cast<std::uint32_t>(cfg.get_int("node.controllers", n.num_controllers));
-  n.disks_per_controller = static_cast<std::uint32_t>(
-      cfg.get_int("node.disks_per_controller", n.disks_per_controller));
-  n.seed = static_cast<std::uint64_t>(cfg.get_int("node.seed", 0)) != 0
-               ? static_cast<std::uint64_t>(cfg.get_int("node.seed", 0))
-               : n.seed;
-  if (n.num_controllers == 0 || n.disks_per_controller == 0) {
-    return make_error("node topology must have at least one controller and disk");
-  }
-  auto disk_params = load_disk_params(cfg);
-  if (!disk_params.ok()) return disk_params.error();
-  n.disk = disk_params.value();
-  auto ctrl_params = load_controller_params(cfg);
-  if (!ctrl_params.ok()) return ctrl_params.error();
-  n.controller = ctrl_params.value();
-  return n;
-}
-
 Result<fault::FaultParams> load_fault_params(const Config& cfg) {
+  ConfigReader in(cfg);
   fault::FaultParams p;
   if (cfg.contains("fault.seed")) {
-    p.seed = static_cast<std::uint64_t>(cfg.get_int("fault.seed", 0));
+    p.seed = static_cast<std::uint64_t>(in.get_int("fault.seed", 0));
   }
-  p.media_error_rate = cfg.get_double("fault.media_error_rate", p.media_error_rate);
+  p.media_error_rate = in.get_double("fault.media_error_rate", p.media_error_rate);
   p.persistent_fraction =
-      cfg.get_double("fault.persistent_fraction", p.persistent_fraction);
+      in.get_double("fault.persistent_fraction", p.persistent_fraction);
   p.transient_failures = static_cast<std::uint32_t>(
-      cfg.get_int("fault.transient_failures", p.transient_failures));
-  p.hang_prob = cfg.get_double("fault.hang_prob", p.hang_prob);
-  p.spike_prob = cfg.get_double("fault.spike_prob", p.spike_prob);
-  p.spike_delay = cfg.get_duration("fault.spike", p.spike_delay);
+      in.get_int("fault.transient_failures", p.transient_failures));
+  p.hang_prob = in.get_double("fault.hang_prob", p.hang_prob);
+  p.spike_prob = in.get_double("fault.spike_prob", p.spike_prob);
+  p.spike_delay = in.get_duration("fault.spike", p.spike_delay);
+  if (!in.status().ok()) return in.status().error();
   if (cfg.contains("fault.bad_range")) {
     // dev:offset:length[,dev:offset:length...]; offset/length take size
     // suffixes (e.g. "0:1G:64K").
@@ -199,24 +186,28 @@ Result<fault::FaultParams> load_fault_params(const Config& cfg) {
 }
 
 Result<core::RetryParams> load_retry_params(const Config& cfg) {
+  ConfigReader in(cfg);
   core::RetryParams p;
-  p.command_timeout = cfg.get_duration("retry.timeout", p.command_timeout);
-  p.max_retries = static_cast<std::uint32_t>(cfg.get_int("retry.retries", p.max_retries));
-  p.backoff_base = cfg.get_duration("retry.backoff", p.backoff_base);
-  p.backoff_cap = cfg.get_duration("retry.backoff_cap", p.backoff_cap);
+  p.command_timeout = in.get_duration("retry.timeout", p.command_timeout);
+  p.max_retries = static_cast<std::uint32_t>(in.get_int("retry.retries", p.max_retries));
+  p.backoff_base = in.get_duration("retry.backoff", p.backoff_base);
+  p.backoff_cap = in.get_duration("retry.backoff_cap", p.backoff_cap);
+  if (!in.status().ok()) return in.status().error();
   const Status valid = p.validate();
   if (!valid.ok()) return valid.error();
   return p;
 }
 
 Result<net::LinkParams> load_link_params(const Config& cfg) {
+  ConfigReader in(cfg);
   net::LinkParams p;
-  p.latency = cfg.get_duration("net.latency", p.latency);
-  p.bandwidth_bps = cfg.get_double("net.bandwidth_mbps", p.bandwidth_bps / 1e6) * 1e6;
-  p.per_message_overhead = cfg.get_duration("net.overhead", p.per_message_overhead);
-  p.header_bytes = cfg.get_bytes("net.header", p.header_bytes);
+  p.latency = in.get_duration("net.latency", p.latency);
+  p.bandwidth_bps = in.get_double("net.bandwidth_mbps", p.bandwidth_bps / 1e6) * 1e6;
+  p.per_message_overhead = in.get_duration("net.overhead", p.per_message_overhead);
+  p.header_bytes = in.get_bytes("net.header", p.header_bytes);
   p.responses_carry_data =
-      cfg.get_bool("net.responses_carry_data", p.responses_carry_data);
+      in.get_bool("net.responses_carry_data", p.responses_carry_data);
+  if (!in.status().ok()) return in.status().error();
   if (p.bandwidth_bps <= 0.0) {
     return make_error("net.bandwidth_mbps must be > 0");
   }
@@ -224,11 +215,12 @@ Result<net::LinkParams> load_link_params(const Config& cfg) {
 }
 
 Result<io::StackSpec> load_stack_spec(const Config& cfg) {
+  ConfigReader in(cfg);
   io::StackSpec spec;
   auto fault = load_fault_params(cfg);
   if (!fault.ok()) return fault.error();
   spec.fault = fault.value();
-  const bool retry_enabled = cfg.get_bool("retry.enable", has_prefix(cfg, "retry."));
+  const bool retry_enabled = in.get_bool("retry.enable", has_prefix(cfg, "retry."));
   if (retry_enabled) {
     auto retry = load_retry_params(cfg);
     if (!retry.ok()) return retry.error();
@@ -242,7 +234,7 @@ Result<io::StackSpec> load_stack_spec(const Config& cfg) {
     else return make_error("unknown stack.raid: '" + name + "'");
   }
   spec.raid.mirror_ways =
-      static_cast<std::uint32_t>(cfg.get_int("stack.mirror.ways", spec.raid.mirror_ways));
+      static_cast<std::uint32_t>(in.get_int("stack.mirror.ways", spec.raid.mirror_ways));
   if (cfg.contains("stack.mirror.policy")) {
     const auto name = cfg.get_string("stack.mirror.policy", "region-affine");
     if (name == "round-robin") spec.raid.mirror_policy = raid::ReadPolicy::kRoundRobin;
@@ -250,18 +242,20 @@ Result<io::StackSpec> load_stack_spec(const Config& cfg) {
     else return make_error("unknown stack.mirror.policy: '" + name + "'");
   }
   spec.raid.mirror.fail_threshold = static_cast<std::uint32_t>(
-      cfg.get_int("stack.mirror.fail_threshold", spec.raid.mirror.fail_threshold));
-  spec.raid.stripe_unit = cfg.get_bytes("stack.stripe_unit", spec.raid.stripe_unit);
-  const bool net_enabled = cfg.get_bool("net.enable", has_prefix(cfg, "net."));
+      in.get_int("stack.mirror.fail_threshold", spec.raid.mirror.fail_threshold));
+  spec.raid.stripe_unit = in.get_bytes("stack.stripe_unit", spec.raid.stripe_unit);
+  const bool net_enabled = in.get_bool("net.enable", has_prefix(cfg, "net."));
   if (net_enabled) {
     auto link = load_link_params(cfg);
     if (!link.ok()) return link.error();
     spec.network = link.value();
   }
+  if (!in.status().ok()) return in.status().error();
   return spec;
 }
 
 Result<node::TopologySpec> load_topology_spec(const Config& cfg) {
+  ConfigReader in(cfg);
   node::TopologySpec spec;
   if (cfg.contains("topology.preset")) {
     const auto name = cfg.get_string("topology.preset", "base");
@@ -272,15 +266,16 @@ Result<node::TopologySpec> load_topology_spec(const Config& cfg) {
   }
   // topology.* spellings alias the historical node.* keys; both work, with
   // the topology.* form winning when both are present.
-  spec.node.num_controllers = static_cast<std::uint32_t>(cfg.get_int(
+  spec.node.num_controllers = static_cast<std::uint32_t>(in.get_int(
       "topology.controllers",
-      cfg.get_int("node.controllers", spec.node.num_controllers)));
-  spec.node.disks_per_controller = static_cast<std::uint32_t>(cfg.get_int(
+      in.get_int("node.controllers", spec.node.num_controllers)));
+  spec.node.disks_per_controller = static_cast<std::uint32_t>(in.get_int(
       "topology.disks_per_controller",
-      cfg.get_int("node.disks_per_controller", spec.node.disks_per_controller)));
+      in.get_int("node.disks_per_controller", spec.node.disks_per_controller)));
   const auto seed = static_cast<std::uint64_t>(
-      cfg.get_int("topology.seed", cfg.get_int("node.seed", 0)));
+      in.get_int("topology.seed", in.get_int("node.seed", 0)));
   if (seed != 0) spec.node.seed = seed;
+  if (!in.status().ok()) return in.status().error();
   if (spec.node.num_controllers == 0 || spec.node.disks_per_controller == 0) {
     return make_error("node topology must have at least one controller and disk");
   }
@@ -307,12 +302,13 @@ Result<node::TopologySpec> load_topology_spec(const Config& cfg) {
 }
 
 Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
+  ConfigReader in(cfg);
   experiment::ExperimentConfig ec;
   auto topology = load_topology_spec(cfg);
   if (!topology.ok()) return topology.error();
   ec.topology = topology.value();
 
-  const bool sched_enabled = cfg.get_bool("sched.enable", has_prefix(cfg, "sched."));
+  const bool sched_enabled = in.get_bool("sched.enable", has_prefix(cfg, "sched."));
   if (sched_enabled) {
     auto sched = load_scheduler_params(cfg);
     if (!sched.ok()) return sched.error();
@@ -320,8 +316,9 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
   }
 
   const auto streams =
-      static_cast<std::uint32_t>(cfg.get_int("workload.streams", 10));
-  const Bytes request = cfg.get_bytes("workload.request", 64 * KiB);
+      static_cast<std::uint32_t>(in.get_int("workload.streams", 10));
+  const Bytes request = in.get_bytes("workload.request", 64 * KiB);
+  if (!in.status().ok()) return in.status().error();
   if (streams == 0) return make_error("workload.streams must be >= 1");
   if (request == 0 || request % kSectorSize != 0) {
     return make_error("workload.request must be a positive multiple of 512");
@@ -331,10 +328,10 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
   ec.streams = workload::make_uniform_streams(streams, ec.topology.logical_device_count(),
                                               ec.topology.logical_device_capacity(), request);
   const auto outstanding =
-      static_cast<std::uint32_t>(cfg.get_int("workload.outstanding", 1));
-  const SimTime think = cfg.get_duration("workload.think", 0);
-  const SimTime jitter = cfg.get_duration("workload.think_jitter", 0);
-  const SimTime period = cfg.get_duration("workload.issue_period", 0);
+      static_cast<std::uint32_t>(in.get_int("workload.outstanding", 1));
+  const SimTime think = in.get_duration("workload.think", 0);
+  const SimTime jitter = in.get_duration("workload.think_jitter", 0);
+  const SimTime period = in.get_duration("workload.issue_period", 0);
   for (auto& spec : ec.streams) {
     spec.outstanding = std::max<std::uint32_t>(1, outstanding);
     spec.think_time = think;
@@ -342,34 +339,34 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
     spec.issue_period = period;
   }
   const auto workload_seed =
-      static_cast<std::uint64_t>(cfg.get_int("workload.seed", 0));
+      static_cast<std::uint64_t>(in.get_int("workload.seed", 0));
   if (workload_seed != 0) ec.workload_seed = workload_seed;
-  ec.warmup = cfg.get_duration("run.warmup", ec.warmup);
-  ec.measure = cfg.get_duration("run.measure", ec.measure);
-  const auto shards = cfg.get_int("sim.shards", cfg.get_int("topology.shards", 1));
+  ec.warmup = in.get_duration("run.warmup", ec.warmup);
+  ec.measure = in.get_duration("run.measure", ec.measure);
+  const auto shards = in.get_int("sim.shards", in.get_int("topology.shards", 1));
   if (shards < 1) return make_error("sim.shards must be >= 1");
   ec.shards = static_cast<std::uint32_t>(shards);
-  ec.lookahead = cfg.get_duration("sim.lookahead", 0);
+  ec.lookahead = in.get_duration("sim.lookahead", 0);
   if (cfg.contains("sched.fail_threshold") && ec.scheduler.has_value()) {
     ec.scheduler->device_fail_threshold = static_cast<std::uint32_t>(
-        cfg.get_int("sched.fail_threshold", ec.scheduler->device_fail_threshold));
+        in.get_int("sched.fail_threshold", ec.scheduler->device_fail_threshold));
   }
 
   // Tail-latency SLO: declaring an objective enables the engine.
-  ec.slo.objective = cfg.get_duration("slo.objective", 0);
-  ec.slo.quantile = cfg.get_double("slo.quantile", ec.slo.quantile);
+  ec.slo.objective = in.get_duration("slo.objective", 0);
+  ec.slo.quantile = in.get_double("slo.quantile", ec.slo.quantile);
   if (ec.slo.quantile <= 0.0 || ec.slo.quantile > 1.0) {
     return make_error("slo.quantile must be in (0, 1]");
   }
-  ec.slo.window = cfg.get_duration("slo.window", ec.slo.window);
+  ec.slo.window = in.get_duration("slo.window", ec.slo.window);
   if (ec.slo.enabled() && ec.slo.window == 0) {
     return make_error("slo.window must be > 0");
   }
-  ec.slo.burn_rate = cfg.get_double("slo.burn_rate", ec.slo.burn_rate);
+  ec.slo.burn_rate = in.get_double("slo.burn_rate", ec.slo.burn_rate);
   if (ec.slo.burn_rate < 0.0 || ec.slo.burn_rate > 1.0) {
     return make_error("slo.burn_rate must be in [0, 1]");
   }
-  ec.attribution = cfg.get_bool("obs.attribution", false);
+  ec.attribution = in.get_bool("obs.attribution", false);
 
   // Execution backend: sim (default, deterministic) or real (io_uring over
   // a backing file; requires a -DSST_WITH_URING=ON build).
@@ -380,17 +377,18 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
     return make_error("backend.kind must be sim or real, got '" + backend_kind + "'");
   }
   ec.backend.path = cfg.get_string("backend.path", "");
-  const auto queue_depth = cfg.get_int("backend.queue_depth", ec.backend.queue_depth);
+  const auto queue_depth = in.get_int("backend.queue_depth", ec.backend.queue_depth);
   if (queue_depth < 1) return make_error("backend.queue_depth must be >= 1");
   ec.backend.queue_depth = static_cast<std::uint32_t>(queue_depth);
-  ec.backend.direct = cfg.get_bool("backend.direct", ec.backend.direct);
-  const auto reactors = cfg.get_int("backend.reactors", ec.backend.reactors);
+  ec.backend.direct = in.get_bool("backend.direct", ec.backend.direct);
+  const auto reactors = in.get_int("backend.reactors", ec.backend.reactors);
   if (reactors < 1) return make_error("backend.reactors must be >= 1");
   ec.backend.reactors = static_cast<std::uint32_t>(reactors);
   if (ec.backend.kind == experiment::BackendConfig::Kind::kReal &&
       ec.backend.path.empty()) {
     return make_error("backend.kind=real requires backend.path");
   }
+  if (!in.status().ok()) return in.status().error();
   return ec;
 }
 

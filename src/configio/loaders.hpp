@@ -25,7 +25,6 @@
 #include "experiment/runner.hpp"
 #include "fault/params.hpp"
 #include "node/device_stack.hpp"
-#include "node/storage_node.hpp"
 #include "node/topology.hpp"
 
 namespace sst::configio {
@@ -47,10 +46,6 @@ namespace sst::configio {
 /// sched.buffer_timeout, sched.pending_timeout, sched.stream_timeout, sched.gc_period,
 /// sched.materialize.
 [[nodiscard]] Result<core::SchedulerParams> load_scheduler_params(const Config& cfg);
-
-/// Keys: node.controllers, node.disks_per_controller, node.seed, plus all
-/// disk.* and ctrl.* keys.
-[[nodiscard]] Result<node::NodeConfig> load_node_config(const Config& cfg);
 
 /// Keys: fault.seed, fault.media_error_rate, fault.persistent_fraction,
 /// fault.transient_failures, fault.hang_prob, fault.spike_prob,
@@ -77,8 +72,9 @@ namespace sst::configio {
 
 /// The whole deployment: node plus stack. Keys: topology.preset
 /// (base|medium|large), topology.controllers, topology.disks_per_controller
-/// and topology.seed (aliases of the node.* spellings, which stay
-/// supported), all disk.*/ctrl.* keys, and every stack key above.
+/// and topology.seed, or their node.controllers, node.disks_per_controller
+/// and node.seed spellings (the topology.* form wins when both are set),
+/// all disk.*/ctrl.* keys, and every stack key above.
 [[nodiscard]] Result<node::TopologySpec> load_topology_spec(const Config& cfg);
 
 /// Keys: all of the above plus workload.streams, workload.request,

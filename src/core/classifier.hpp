@@ -26,6 +26,16 @@ struct ClassifierStats {
   std::uint64_t regions_collected = 0;
   std::uint64_t streams_detected = 0;
   Bytes bitmap_bytes = 0;  ///< current bitmap memory footprint
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("requests_seen", s.requests_seen...);
+    v.sum("regions_allocated", s.regions_allocated...);
+    v.sum("regions_collected", s.regions_collected...);
+    v.sum("streams_detected", s.streams_detected...);
+    v.sum("bitmap_bytes", s.bitmap_bytes...);
+  }
 };
 
 /// Detection result: where the detected stream starts and ends so far.

@@ -60,6 +60,18 @@ struct RetryStats {
   std::uint64_t recovered = 0;       ///< commands ok after >= 1 retry
   std::uint64_t giveups = 0;         ///< commands failed, retries exhausted
   SimTime backoff_time = 0;          ///< total backoff sleep injected
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("commands", s.commands...);
+    v.sum("retries_total", s.retries_total...);
+    v.sum("timeouts", s.timeouts...);
+    v.sum("media_errors", s.media_errors...);
+    v.sum("recovered", s.recovered...);
+    v.sum("giveups", s.giveups...);
+    v.time("backoff_time", s.backoff_time...);
+  }
 };
 
 class ReliableDevice final : public blockdev::BlockDevice {

@@ -56,6 +56,28 @@ struct SchedulerStats {
   /// Client requests completed with an error status (evicted stream or
   /// failed device fail-fast).
   std::uint64_t requests_failed = 0;
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("streams_created", s.streams_created...);
+    v.sum("streams_retired", s.streams_retired...);
+    v.sum("disk_reads", s.disk_reads...);
+    v.sum("bytes_prefetched", s.bytes_prefetched...);
+    v.sum("client_completions", s.client_completions...);
+    v.sum("bytes_served", s.bytes_served...);
+    v.sum("buffer_hits", s.buffer_hits...);
+    v.sum("rotations", s.rotations...);
+    v.sum("dispatch_stalls", s.dispatch_stalls...);
+    v.sum("gc_buffers_reclaimed", s.gc_buffers_reclaimed...);
+    v.sum("gc_bytes_wasted", s.gc_bytes_wasted...);
+    v.sum("gc_streams_retired", s.gc_streams_retired...);
+    v.sum("fallback_direct_reads", s.fallback_direct_reads...);
+    v.sum("escalated_reads", s.escalated_reads...);
+    v.sum("prefetch_errors", s.prefetch_errors...);
+    v.sum("streams_evicted", s.streams_evicted...);
+    v.sum("requests_failed", s.requests_failed...);
+  }
 };
 
 class StreamScheduler {

@@ -27,6 +27,16 @@ struct ServerStats {
   std::uint64_t direct_writes = 0;
   /// Requests failed on arrival because their device was declared failed.
   std::uint64_t rejected_requests = 0;
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("requests", s.requests...);
+    v.sum("sequential_requests", s.sequential_requests...);
+    v.sum("direct_reads", s.direct_reads...);
+    v.sum("direct_writes", s.direct_writes...);
+    v.sum("rejected_requests", s.rejected_requests...);
+  }
 };
 
 class StorageServer {

@@ -19,6 +19,13 @@ namespace sst::core {
 struct StagingStats {
   Bytes bytes_copied = 0;            ///< memcpy'd into client destinations
   std::uint64_t zero_copy_hits = 0;  ///< requests served without any copy
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("bytes_copied", s.bytes_copied...);
+    v.sum("zero_copy_hits", s.zero_copy_hits...);
+  }
 };
 
 class StagingArea {

@@ -78,6 +78,19 @@ struct ReactorStats {
   std::uint64_t inring_waits = 0;      ///< single-driver in-ring blocks
   std::uint64_t idle_sleeps = 0;       ///< no-I/O sleeps until the next timer
   std::uint64_t completions = 0;       ///< completions the reactor delivered
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("wakeups", s.wakeups...);
+    v.sum("completion_wakeups", s.completion_wakeups...);
+    v.sum("timer_wakeups", s.timer_wakeups...);
+    v.sum("spurious_wakeups", s.spurious_wakeups...);
+    v.sum("epoll_waits", s.epoll_waits...);
+    v.sum("inring_waits", s.inring_waits...);
+    v.sum("idle_sleeps", s.idle_sleeps...);
+    v.sum("completions", s.completions...);
+  }
 };
 
 class RealContext final : public ExecutionContext {

@@ -1,10 +1,58 @@
 // ExperimentResult -> JSON via the obs metrics registry: every per-layer
-// stats struct registered under its own namespace, one deterministic
-// document out.
+// stats struct registered under its own namespace through its field list,
+// one deterministic document out. README's "Metrics reference" table is
+// the catalog of the keys written here.
 #include "experiment/runner.hpp"
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "obs/metrics.hpp"
 
 namespace sst::experiment {
+
+namespace {
+
+/// Registers a stats struct's field list (common/stat_fields.hpp) under
+/// "<group>.<key>".
+class GroupExporter {
+ public:
+  GroupExporter(obs::MetricsRegistry& reg, std::string_view group) : reg_(reg), group_(group) {}
+
+  void sum(std::string_view key, std::uint64_t value) { reg_.counter(name(key), value); }
+  void peak(std::string_view key, std::uint64_t value) { reg_.counter(name(key), value); }
+  void time(std::string_view key, SimTime value) {
+    reg_.gauge(name(key) + "_ms", to_millis(value));
+  }
+  template <std::size_t N>
+  void buckets(std::string_view key, const std::array<std::uint64_t, N>& counts) {
+    reg_.array(name(key), std::vector<double>(counts.begin(), counts.end()));
+  }
+  void ratio(std::string_view key, double value) { reg_.gauge(name(key), value); }
+
+ private:
+  [[nodiscard]] std::string name(std::string_view key) const {
+    std::string full(group_);
+    full += '.';
+    full += key;
+    return full;
+  }
+
+  obs::MetricsRegistry& reg_;
+  std::string_view group_;
+};
+
+template <typename Stats>
+void export_group(obs::MetricsRegistry& reg, std::string_view group, const Stats& stats) {
+  GroupExporter exporter(reg, group);
+  Stats::fields(exporter, stats);
+}
+
+}  // namespace
 
 std::string ExperimentResult::to_json() const {
   obs::MetricsRegistry reg;
@@ -56,42 +104,9 @@ std::string ExperimentResult::to_json() const {
     reg.counter("slo.samples", slo_report.samples);
   }
 
-  reg.counter("disk.bytes_requested", disk_totals.bytes_requested);
-  reg.counter("disk.bytes_from_media", disk_totals.bytes_from_media);
-  reg.counter("disk.commands", disk_totals.commands);
-  reg.counter("disk.cache_hits", disk_totals.cache_hits);
-  reg.counter("disk.cache_misses", disk_totals.cache_misses);
-  reg.counter("disk.wasted_prefetch_sectors", disk_totals.wasted_prefetch_sectors);
-  reg.gauge("disk.seek_time_ms", to_millis(disk_totals.seek_time));
-  reg.gauge("disk.busy_time_ms", to_millis(disk_totals.busy_time));
-
-  reg.counter("controller.commands", controller_totals.commands);
-  reg.counter("controller.bytes_to_host", controller_totals.bytes_to_host);
-  reg.gauge("controller.bus_busy_time_ms", to_millis(controller_totals.bus_busy_time));
-  reg.counter("controller.cache_hits", controller_totals.cache_hits);
-  reg.counter("controller.cache_misses", controller_totals.cache_misses);
-  reg.counter("controller.cache_evictions", controller_totals.cache_evictions);
-  reg.counter("controller.prefetched_bytes", controller_totals.prefetched_bytes);
-  reg.counter("controller.wasted_prefetch_bytes",
-              controller_totals.wasted_prefetch_bytes);
-
-  reg.counter("scheduler.streams_created", scheduler_stats.streams_created);
-  reg.counter("scheduler.streams_retired", scheduler_stats.streams_retired);
-  reg.counter("scheduler.disk_reads", scheduler_stats.disk_reads);
-  reg.counter("scheduler.bytes_prefetched", scheduler_stats.bytes_prefetched);
-  reg.counter("scheduler.client_completions", scheduler_stats.client_completions);
-  reg.counter("scheduler.bytes_served", scheduler_stats.bytes_served);
-  reg.counter("scheduler.buffer_hits", scheduler_stats.buffer_hits);
-  reg.counter("scheduler.rotations", scheduler_stats.rotations);
-  reg.counter("scheduler.dispatch_stalls", scheduler_stats.dispatch_stalls);
-  reg.counter("scheduler.gc_buffers_reclaimed", scheduler_stats.gc_buffers_reclaimed);
-  reg.counter("scheduler.gc_bytes_wasted", scheduler_stats.gc_bytes_wasted);
-  reg.counter("scheduler.gc_streams_retired", scheduler_stats.gc_streams_retired);
-  reg.counter("scheduler.fallback_direct_reads", scheduler_stats.fallback_direct_reads);
-  reg.counter("scheduler.escalated_reads", scheduler_stats.escalated_reads);
-  reg.counter("scheduler.prefetch_errors", scheduler_stats.prefetch_errors);
-  reg.counter("scheduler.streams_evicted", scheduler_stats.streams_evicted);
-  reg.counter("scheduler.requests_failed", scheduler_stats.requests_failed);
+  export_group(reg, "disk", disk_totals);
+  export_group(reg, "controller", controller_totals);
+  export_group(reg, "scheduler", scheduler_stats);
   reg.counter("scheduler.devices_failed", devices_failed);
 
   reg.counter("sim.events_dispatched", sim_events_dispatched);
@@ -115,89 +130,36 @@ std::string ExperimentResult::to_json() const {
   if (uring_summary.enabled) {
     reg.counter("uring.devices", uring_summary.devices);
     reg.counter("uring.direct_devices", uring_summary.direct_devices);
-    reg.counter("uring.submitted", uring_summary.submitted);
-    reg.counter("uring.completed", uring_summary.completed);
-    reg.counter("uring.errors", uring_summary.errors);
-    reg.counter("uring.short_resubmits", uring_summary.short_resubmits);
-    reg.counter("uring.transient_retries", uring_summary.transient_retries);
-    reg.counter("uring.fixed_buffer_ops", uring_summary.fixed_buffer_ops);
-    reg.counter("uring.direct_ops", uring_summary.direct_ops);
-    reg.counter("uring.backlog_peak", uring_summary.backlog_peak);
-    reg.counter("uring.enter_syscalls", uring_summary.enter_syscalls);
-    reg.counter("uring.flush_batches", uring_summary.flush_batches);
-    reg.counter("uring.sqes_flushed", uring_summary.sqes_flushed);
-    reg.counter("uring.batch_size_max", uring_summary.batch_size_max);
-    reg.gauge("uring.syscalls_per_request", uring_summary.syscalls_per_request());
-    std::vector<double> buckets(uring_summary.batch_size_log2.begin(),
-                                uring_summary.batch_size_log2.end());
-    reg.array("uring.batch_size_log2", std::move(buckets));
-    std::vector<double> per_device(uring_summary.per_device_completed.begin(),
-                                   uring_summary.per_device_completed.end());
-    reg.array("uring.device_completed", std::move(per_device));
+    export_group(reg, "uring", uring_summary);
+    reg.array("uring.device_completed",
+              std::vector<double>(uring_summary.per_device_completed.begin(),
+                                  uring_summary.per_device_completed.end()));
   }
   if (reactor_summary.enabled) {
     reg.counter("reactor.count", reactor_summary.reactors);
     reg.counter("reactor.requested", reactor_summary.requested);
-    reg.counter("reactor.wakeups", reactor_summary.wakeups);
-    reg.counter("reactor.completion_wakeups", reactor_summary.completion_wakeups);
-    reg.counter("reactor.timer_wakeups", reactor_summary.timer_wakeups);
-    reg.counter("reactor.spurious_wakeups", reactor_summary.spurious_wakeups);
-    reg.counter("reactor.epoll_waits", reactor_summary.epoll_waits);
-    reg.counter("reactor.inring_waits", reactor_summary.inring_waits);
-    reg.counter("reactor.idle_sleeps", reactor_summary.idle_sleeps);
-    reg.counter("reactor.completions", reactor_summary.completions);
+    export_group(reg, "reactor", reactor_summary);
   }
 
-  reg.counter("staging.bytes_copied", staging_stats.bytes_copied);
-  reg.counter("staging.zero_copy_hits", staging_stats.zero_copy_hits);
-
-  reg.counter("server.requests", server_stats.requests);
-  reg.counter("server.sequential_requests", server_stats.sequential_requests);
-  reg.counter("server.direct_reads", server_stats.direct_reads);
-  reg.counter("server.direct_writes", server_stats.direct_writes);
-  reg.counter("server.rejected_requests", server_stats.rejected_requests);
-
-  reg.counter("fault.commands_seen", fault_stats.commands_seen);
-  reg.counter("fault.media_errors", fault_stats.media_errors);
-  reg.counter("fault.persistent_errors", fault_stats.persistent_errors);
-  reg.counter("fault.hangs", fault_stats.hangs);
-  reg.counter("fault.spikes", fault_stats.spikes);
-
-  reg.counter("net.dropped_requests", net_fault_stats.dropped);
-  reg.counter("net.spiked_requests", net_fault_stats.spiked);
-  reg.counter("net.transport_errors", net_fault_stats.transport_errors);
+  export_group(reg, "staging", staging_stats);
+  export_group(reg, "server", server_stats);
+  export_group(reg, "fault", fault_stats);
+  export_group(reg, "net", net_fault_stats);
 
   // The raid group only appears when a raid layer was stacked, keeping the
   // export byte-identical for the (default) flat device view.
   if (raid_kind != io::RaidSpec::Kind::kNone) {
     reg.text("raid.kind", to_string(raid_kind));
     if (raid_kind == io::RaidSpec::Kind::kMirror) {
-      reg.counter("raid.reads", mirror_stats.reads);
-      reg.counter("raid.writes", mirror_stats.writes);
-      reg.counter("raid.member_errors", mirror_stats.member_errors);
-      reg.counter("raid.failovers", mirror_stats.failovers);
-      reg.counter("raid.degraded_reads", mirror_stats.degraded_reads);
-      reg.counter("raid.degraded_writes", mirror_stats.degraded_writes);
-      reg.counter("raid.read_failures", mirror_stats.read_failures);
-      reg.counter("raid.write_failures", mirror_stats.write_failures);
+      export_group(reg, "raid", mirror_stats);
     }
   }
 
-  reg.counter("retry.commands", retry_stats.commands);
-  reg.counter("retry.retries_total", retry_stats.retries_total);
-  reg.counter("retry.timeouts", retry_stats.timeouts);
-  reg.counter("retry.media_errors", retry_stats.media_errors);
-  reg.counter("retry.recovered", retry_stats.recovered);
-  reg.counter("retry.giveups", retry_stats.giveups);
-  reg.gauge("retry.backoff_time_ms", to_millis(retry_stats.backoff_time));
+  export_group(reg, "retry", retry_stats);
 
   reg.counter("workload.client_errors", client_errors);
 
-  reg.counter("classifier.requests_seen", classifier_stats.requests_seen);
-  reg.counter("classifier.regions_allocated", classifier_stats.regions_allocated);
-  reg.counter("classifier.regions_collected", classifier_stats.regions_collected);
-  reg.counter("classifier.streams_detected", classifier_stats.streams_detected);
-  reg.counter("classifier.bitmap_bytes", classifier_stats.bitmap_bytes);
+  export_group(reg, "classifier", classifier_stats);
 
   reg.gauge("host.cpu_utilization", host_cpu_utilization);
   reg.counter("host.peak_buffer_memory", peak_buffer_memory);

@@ -466,15 +466,15 @@ ExperimentResult merge(const ExperimentConfig& config, const ExperimentPlan& pla
     Cell& cell = *cell_ptr;
     io::DeviceStack& stack = *cell.stack;
     if (cell.node) {
-      add_disk_totals(result.disk_totals, cell.node->disk_totals());
-      add_controller_totals(result.controller_totals, cell.node->controller_totals());
+      accumulate(result.disk_totals, cell.node->disk_totals());
+      accumulate(result.controller_totals, cell.node->controller_totals());
     }
     if (cell.server) {
       core::StreamScheduler& sched = cell.server->scheduler();
-      add_scheduler_stats(result.scheduler_stats, sched.stats());
-      add_server_stats(result.server_stats, cell.server->stats());
-      add_classifier_stats(result.classifier_stats, cell.server->classifier().stats());
-      add_staging_stats(result.staging_stats, sched.staging_stats());
+      accumulate(result.scheduler_stats, sched.stats());
+      accumulate(result.server_stats, cell.server->stats());
+      accumulate(result.classifier_stats, cell.server->classifier().stats());
+      accumulate(result.staging_stats, sched.staging_stats());
       // Cells model parallel hosts: the binding figure is the busiest
       // cell's CPU, not a sum that could read past 100%.
       result.host_cpu_utilization =
@@ -483,13 +483,13 @@ ExperimentResult merge(const ExperimentConfig& config, const ExperimentPlan& pla
       result.devices_failed += sched.failed_device_count();
     }
     if (stack.injector() != nullptr) {
-      add_fault_stats(result.fault_stats, stack.injector()->stats());
+      accumulate(result.fault_stats, stack.injector()->stats());
     }
     if (stack.remote() != nullptr) {
-      add_net_fault_stats(result.net_fault_stats, stack.remote()->fault_stats());
+      accumulate(result.net_fault_stats, stack.remote()->fault_stats());
     }
-    add_retry_stats(result.retry_stats, stack.retry_totals());
-    add_mirror_stats(result.mirror_stats, stack.mirror_totals());
+    accumulate(result.retry_stats, stack.retry_totals());
+    accumulate(result.mirror_stats, stack.mirror_totals());
     result.sim_events_dispatched += cell.events;
     end = std::max(end, cell.end);
     if (attribution) {
@@ -821,36 +821,12 @@ ExperimentResult drive_real(const ExperimentConfig& config, const ExperimentPlan
   for (const auto& cell : cells) {
     for (const auto& device : cell->owned_base) {
       const auto& ring = static_cast<const blockdev::UringBlockDevice&>(*device);
-      const blockdev::UringStats& ds = ring.stats();
       ++u.devices;
       if (ring.using_direct()) ++u.direct_devices;
-      u.submitted += ds.submitted;
-      u.completed += ds.completed;
-      u.errors += ds.errors;
-      u.short_resubmits += ds.short_resubmits;
-      u.transient_retries += ds.transient_retries;
-      u.fixed_buffer_ops += ds.fixed_buffer_ops;
-      u.direct_ops += ds.direct_ops;
-      u.backlog_peak = std::max(u.backlog_peak, ds.backlog_peak);
-      u.enter_syscalls += ds.enter_syscalls;
-      u.flush_batches += ds.flush_batches;
-      u.sqes_flushed += ds.sqes_flushed;
-      u.batch_size_max = std::max(u.batch_size_max, ds.batch_size_max);
-      for (std::size_t b = 0; b < blockdev::kUringBatchBuckets; ++b) {
-        u.batch_size_log2[b] += ds.batch_size_log2[b];
-      }
-      u.per_device_completed.push_back(ds.completed);
+      accumulate(u, ring.stats());
+      u.per_device_completed.push_back(ring.stats().completed);
     }
-    const exec::ReactorStats& rs =
-        static_cast<const exec::RealContext&>(*cell->own_ctx).reactor_stats();
-    r.wakeups += rs.wakeups;
-    r.completion_wakeups += rs.completion_wakeups;
-    r.timer_wakeups += rs.timer_wakeups;
-    r.spurious_wakeups += rs.spurious_wakeups;
-    r.epoll_waits += rs.epoll_waits;
-    r.inring_waits += rs.inring_waits;
-    r.idle_sleeps += rs.idle_sleeps;
-    r.completions += rs.completions;
+    accumulate(r, static_cast<const exec::RealContext&>(*cell->own_ctx).reactor_stats());
   }
   return result;
 }

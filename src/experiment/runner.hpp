@@ -5,16 +5,17 @@
 // MB/s, response-time distribution, cache/scheduler counters).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "blockdev/uring_block_device.hpp"
 #include "core/params.hpp"
 #include "core/reliable_device.hpp"
 #include "core/scheduler.hpp"
 #include "core/server.hpp"
+#include "exec/real_context.hpp"
 #include "net/network.hpp"
 #include "node/topology.hpp"
 #include "obs/flight_recorder.hpp"
@@ -102,57 +103,24 @@ struct ExperimentConfig {
   BackendConfig backend;
 };
 
-/// io_uring device counters summed over every ring of a real run; `enabled`
-/// only when backend.kind = real executed, which gates the uring.* metrics
-/// group (sim exports stay byte-identical). Mirrors blockdev::UringStats
-/// without depending on the uring header.
-struct UringSummary {
+/// io_uring device counters summed over every ring of a real run (peaks
+/// max-merged); `enabled` only when backend.kind = real executed, which
+/// gates the uring.* metrics group (sim exports stay byte-identical).
+struct UringSummary : blockdev::UringStats {
   bool enabled = false;
   std::uint32_t devices = 0;         ///< rings opened (one per physical device)
   std::uint32_t direct_devices = 0;  ///< rings whose backing fd took O_DIRECT
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t short_resubmits = 0;
-  std::uint64_t transient_retries = 0;
-  std::uint64_t fixed_buffer_ops = 0;
-  std::uint64_t direct_ops = 0;
-  std::uint64_t backlog_peak = 0;  ///< max over devices
-  std::uint64_t enter_syscalls = 0;
-  std::uint64_t flush_batches = 0;
-  std::uint64_t sqes_flushed = 0;
-  std::uint64_t batch_size_max = 0;
-  /// Summed flushed-batch-size histogram: bucket i counts batches of
-  /// [2^i, 2^(i+1)) SQEs, last bucket open-ended (kUringBatchBuckets wide).
-  std::array<std::uint64_t, 8> batch_size_log2{};
   /// Completed requests per ring (global physical device order) — the
   /// balance figure the multi-reactor CI smoke asserts on.
   std::vector<std::uint64_t> per_device_completed;
-
-  /// io_uring_enter calls per completed request, the submission-batching
-  /// figure of merit (one enter per request ~= 1.0+; batched pipelines at
-  /// depth reach well below 0.2).
-  [[nodiscard]] double syscalls_per_request() const {
-    return completed > 0 ? static_cast<double>(enter_syscalls) /
-                               static_cast<double>(completed)
-                         : 0.0;
-  }
 };
 
 /// Reactor wakeup accounting summed over every RealContext of a real run;
 /// `enabled` gates the reactor.* metrics group like UringSummary.
-struct ReactorSummary {
+struct ReactorSummary : exec::ReactorStats {
   bool enabled = false;
   std::uint32_t reactors = 1;   ///< effective reactor count
   std::uint32_t requested = 1;  ///< configured value before clamping
-  std::uint64_t wakeups = 0;
-  std::uint64_t completion_wakeups = 0;
-  std::uint64_t timer_wakeups = 0;
-  std::uint64_t spurious_wakeups = 0;
-  std::uint64_t epoll_waits = 0;
-  std::uint64_t inring_waits = 0;
-  std::uint64_t idle_sleeps = 0;
-  std::uint64_t completions = 0;
 };
 
 /// Parallel-engine counters; `shards` stays 1 (and nothing is exported)

@@ -6,11 +6,34 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "experiment/runner.hpp"
 
 namespace sst::experiment {
+
+/// Cartesian product of `axes`, first axis outermost (google-benchmark's
+/// ArgsProduct order): each point holds one value per axis, in axis order.
+/// No axes give one empty point; an empty axis gives no points.
+template <typename T>
+[[nodiscard]] std::vector<std::vector<T>> cartesian_product(
+    const std::vector<std::vector<T>>& axes) {
+  std::vector<std::vector<T>> points{{}};
+  for (const std::vector<T>& axis : axes) {
+    std::vector<std::vector<T>> expanded;
+    expanded.reserve(points.size() * axis.size());
+    for (const std::vector<T>& prefix : points) {
+      for (const T& value : axis) {
+        std::vector<T> point = prefix;
+        point.push_back(value);
+        expanded.push_back(std::move(point));
+      }
+    }
+    points = std::move(expanded);
+  }
+  return points;
+}
 
 /// Worker count used when run_sweep is called with workers == 0: the
 /// SST_BENCH_THREADS environment variable when set to a positive integer,

@@ -43,6 +43,16 @@ struct FaultStats {
   std::uint64_t persistent_errors = 0;  ///< subset of media_errors
   std::uint64_t hangs = 0;
   std::uint64_t spikes = 0;
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("commands_seen", s.commands_seen...);
+    v.sum("media_errors", s.media_errors...);
+    v.sum("persistent_errors", s.persistent_errors...);
+    v.sum("hangs", s.hangs...);
+    v.sum("spikes", s.spikes...);
+  }
 };
 
 class FaultInjector {

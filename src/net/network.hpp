@@ -48,6 +48,14 @@ struct NetFaultStats {
   std::uint64_t dropped = 0;           ///< requests lost in transit (hangs)
   std::uint64_t spiked = 0;            ///< requests delayed by a spike
   std::uint64_t transport_errors = 0;  ///< failed without reaching the server
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("dropped_requests", s.dropped...);
+    v.sum("spiked_requests", s.spiked...);
+    v.sum("transport_errors", s.transport_errors...);
+  }
 };
 
 /// One direction of a full-duplex link: serializes message transmissions.

@@ -60,6 +60,19 @@ struct NodeControllerTotals {
   std::uint64_t cache_evictions = 0;
   Bytes prefetched_bytes = 0;
   Bytes wasted_prefetch_bytes = 0;
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("commands", s.commands...);
+    v.sum("bytes_to_host", s.bytes_to_host...);
+    v.time("bus_busy_time", s.bus_busy_time...);
+    v.sum("cache_hits", s.cache_hits...);
+    v.sum("cache_misses", s.cache_misses...);
+    v.sum("cache_evictions", s.cache_evictions...);
+    v.sum("prefetched_bytes", s.prefetched_bytes...);
+    v.sum("wasted_prefetch_bytes", s.wasted_prefetch_bytes...);
+  }
 };
 
 /// Aggregated counters across every disk of the node.
@@ -72,6 +85,19 @@ struct NodeDiskTotals {
   Lba wasted_prefetch_sectors = 0;  ///< prefetched, evicted unread
   SimTime seek_time = 0;
   SimTime busy_time = 0;
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("bytes_requested", s.bytes_requested...);
+    v.sum("bytes_from_media", s.bytes_from_media...);
+    v.sum("commands", s.commands...);
+    v.sum("cache_hits", s.cache_hits...);
+    v.sum("cache_misses", s.cache_misses...);
+    v.sum("wasted_prefetch_sectors", s.wasted_prefetch_sectors...);
+    v.time("seek_time", s.seek_time...);
+    v.time("busy_time", s.busy_time...);
+  }
 };
 
 class StorageNode {

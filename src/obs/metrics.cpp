@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 namespace sst::obs {
 
@@ -59,17 +60,6 @@ HistogramSnapshot HistogramSnapshot::from(const stats::LatencyHistogram& h) {
   return snap;
 }
 
-HistogramSnapshot HistogramSnapshot::from(
-    const stats::LatencyHistogram& h,
-    const std::vector<std::pair<double, std::string>>& extra_quantiles) {
-  HistogramSnapshot snap = from(h);
-  snap.extra.reserve(extra_quantiles.size());
-  for (const auto& [q, label] : extra_quantiles) {
-    snap.extra.emplace_back(label + "_ms", h.quantile_ms(q));
-  }
-  return snap;
-}
-
 void MetricsRegistry::counter(std::string_view name, std::uint64_t value) {
   Entry e;
   e.name = std::string(name);
@@ -111,16 +101,6 @@ void MetricsRegistry::histogram(std::string_view name,
   entries_.push_back(std::move(e));
 }
 
-void MetricsRegistry::histogram(
-    std::string_view name, const stats::LatencyHistogram& h,
-    const std::vector<std::pair<double, std::string>>& extra_quantiles) {
-  Entry e;
-  e.name = std::string(name);
-  e.kind = Kind::kHistogram;
-  e.hist = HistogramSnapshot::from(h, extra_quantiles);
-  entries_.push_back(std::move(e));
-}
-
 void MetricsRegistry::write_value(std::ostream& os, const Entry& entry) const {
   switch (entry.kind) {
     case Kind::kCounter:
@@ -156,12 +136,6 @@ void MetricsRegistry::write_value(std::ostream& os, const Entry& entry) const {
       write_double(os, h.p999_ms);
       os << ",\"max_ms\":";
       write_double(os, h.max_ms);
-      for (const auto& [label, value] : h.extra) {
-        os << ",\"";
-        write_escaped(os, label);
-        os << "\":";
-        write_double(os, value);
-      }
       os << ",\"buckets\":[";
       for (std::size_t i = 0; i < h.buckets.size(); ++i) {
         if (i != 0) os << ',';

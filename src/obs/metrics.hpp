@@ -11,7 +11,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "stats/histogram.hpp"
@@ -31,13 +30,6 @@ struct HistogramSnapshot {
   std::vector<stats::HistogramBucket> buckets;
 
   [[nodiscard]] static HistogramSnapshot from(const stats::LatencyHistogram& h);
-  /// Snapshot carrying extra quantile columns: each (q, label) pair is
-  /// exported as "<label>_ms" alongside the fixed p50/p95/p99/p999 set.
-  [[nodiscard]] static HistogramSnapshot from(
-      const stats::LatencyHistogram& h,
-      const std::vector<std::pair<double, std::string>>& extra_quantiles);
-
-  std::vector<std::pair<std::string, double>> extra;  ///< label -> value (ms)
 };
 
 class MetricsRegistry {
@@ -47,10 +39,6 @@ class MetricsRegistry {
   void text(std::string_view name, std::string_view value);
   void array(std::string_view name, std::vector<double> values);
   void histogram(std::string_view name, const stats::LatencyHistogram& h);
-  /// Histogram export with caller-chosen extra quantile columns (arbitrary
-  /// q beyond the fixed p50/p95/p99/p999 headline set).
-  void histogram(std::string_view name, const stats::LatencyHistogram& h,
-                 const std::vector<std::pair<double, std::string>>& extra_quantiles);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 

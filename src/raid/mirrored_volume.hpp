@@ -58,6 +58,19 @@ struct MirrorStats {
   std::uint64_t degraded_writes = 0;  ///< fan-out skipped a failed member
   std::uint64_t read_failures = 0;    ///< reads failed on every replica
   std::uint64_t write_failures = 0;   ///< writes that landed on no replica
+
+  /// Field list for merge and export (common/stat_fields.hpp).
+  template <class V, class... S>
+  static void fields(V& v, S&... s) {
+    v.sum("reads", s.reads...);
+    v.sum("writes", s.writes...);
+    v.sum("member_errors", s.member_errors...);
+    v.sum("failovers", s.failovers...);
+    v.sum("degraded_reads", s.degraded_reads...);
+    v.sum("degraded_writes", s.degraded_writes...);
+    v.sum("read_failures", s.read_failures...);
+    v.sum("write_failures", s.write_failures...);
+  }
 };
 
 class MirroredVolume final : public blockdev::BlockDevice {

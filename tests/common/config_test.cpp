@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace sst {
 namespace {
 
 TEST(ConfigParse, FromArgsBasic) {
   auto cfg = Config::from_args({"a=1", "b=hello", "c=3.5"});
   ASSERT_TRUE(cfg.ok());
-  EXPECT_EQ(cfg.value().get_int("a", 0), 1);
+  ConfigReader in(cfg.value());
+  EXPECT_EQ(in.get_int("a", 0), 1);
   EXPECT_EQ(cfg.value().get_string("b", ""), "hello");
-  EXPECT_DOUBLE_EQ(cfg.value().get_double("c", 0.0), 3.5);
+  EXPECT_DOUBLE_EQ(in.get_double("c", 0.0), 3.5);
+  EXPECT_TRUE(in.status().ok());
 }
 
 TEST(ConfigParse, FromArgsRejectsMissingEquals) {
@@ -24,13 +28,13 @@ TEST(ConfigParse, FromArgsRejectsEmptyKey) {
 TEST(ConfigParse, LaterValueWins) {
   auto cfg = Config::from_args({"a=1", "a=2"});
   ASSERT_TRUE(cfg.ok());
-  EXPECT_EQ(cfg.value().get_int("a", 0), 2);
+  EXPECT_EQ(ConfigReader(cfg.value()).get_int("a", 0), 2);
 }
 
 TEST(ConfigParse, FromTextWithCommentsAndBlanks) {
   auto cfg = Config::from_text("# header\n a = 1 \n\nb=two # trailing\n");
   ASSERT_TRUE(cfg.ok());
-  EXPECT_EQ(cfg.value().get_int("a", 0), 1);
+  EXPECT_EQ(ConfigReader(cfg.value()).get_int("a", 0), 1);
   EXPECT_EQ(cfg.value().get_string("b", ""), "two");
 }
 
@@ -40,17 +44,54 @@ TEST(ConfigParse, FromTextRejectsGarbage) {
 
 TEST(ConfigGetters, MissingKeyReturnsFallback) {
   Config cfg;
-  EXPECT_EQ(cfg.get_int("missing", 42), 42);
+  ConfigReader in(cfg);
+  EXPECT_EQ(in.get_int("missing", 42), 42);
   EXPECT_EQ(cfg.get_string("missing", "x"), "x");
-  EXPECT_TRUE(cfg.get_bool("missing", true));
-  EXPECT_EQ(cfg.get_bytes("missing", 7), 7u);
-  EXPECT_EQ(cfg.get_duration("missing", 9), 9u);
+  EXPECT_TRUE(in.get_bool("missing", true));
+  EXPECT_EQ(in.get_bytes("missing", 7), 7u);
+  EXPECT_EQ(in.get_duration("missing", 9), 9u);
+  EXPECT_TRUE(in.status().ok());
 }
 
-TEST(ConfigGetters, MalformedIntFallsBack) {
+std::string error_of(const ConfigReader& in) {
+  return in.status().ok() ? std::string("<ok>") : in.status().error().message;
+}
+
+TEST(ConfigGetters, MalformedValueIsErrorNamingKeyAndValue) {
   Config cfg;
-  cfg.set("a", "12x");
-  EXPECT_EQ(cfg.get_int("a", -1), -1);
+  cfg.set("i", "12x");
+  cfg.set("d", "abc");
+  cfg.set("b", "maybe");
+  cfg.set("size", "5Q");
+  cfg.set("t", "5h");
+  ConfigReader ints(cfg);
+  EXPECT_EQ(ints.get_int("i", -1), -1);
+  EXPECT_EQ(error_of(ints), "i=12x: not an integer");
+  ConfigReader doubles(cfg);
+  EXPECT_EQ(doubles.get_double("d", 0.5), 0.5);
+  EXPECT_EQ(error_of(doubles), "d=abc: not a number");
+  ConfigReader bools(cfg);
+  EXPECT_TRUE(bools.get_bool("b", true));
+  EXPECT_EQ(error_of(bools), "b=maybe: not a boolean: 'maybe'");
+  ConfigReader sizes(cfg);
+  EXPECT_EQ(sizes.get_bytes("size", 3), 3u);
+  EXPECT_EQ(error_of(sizes), "size=5Q: unknown size suffix: 'Q'");
+  ConfigReader times(cfg);
+  EXPECT_EQ(times.get_duration("t", 4), 4u);
+  EXPECT_EQ(error_of(times), "t=5h: unknown duration suffix: 'h'");
+}
+
+TEST(ConfigGetters, ReaderKeepsFirstMalformedValue) {
+  Config cfg;
+  cfg.set("good", "4");
+  cfg.set("bad", "x1");
+  cfg.set("worse", "y2");
+  ConfigReader in(cfg);
+  EXPECT_EQ(in.get_int("good", 0), 4);
+  EXPECT_TRUE(in.status().ok());
+  EXPECT_EQ(in.get_int("bad", 7), 7);
+  EXPECT_EQ(in.get_int("worse", 8), 8);
+  EXPECT_EQ(error_of(in), "bad=x1: not an integer");
 }
 
 TEST(ConfigGetters, Contains) {
@@ -116,18 +157,14 @@ TEST(ConfigBool, Falsy) {
 
 TEST(ConfigBool, RejectsOther) { EXPECT_FALSE(Config::parse_bool("maybe").ok()); }
 
-TEST(ConfigChecked, MissingKeyIsError) {
-  Config cfg;
-  EXPECT_FALSE(cfg.get_bytes_checked("nope").ok());
-  EXPECT_FALSE(cfg.get_duration_checked("nope").ok());
-}
-
 TEST(ConfigChecked, PresentKeyParses) {
   Config cfg;
   cfg.set("size", "16M");
   cfg.set("t", "10ms");
-  EXPECT_EQ(cfg.get_bytes_checked("size").value(), 16 * MiB);
-  EXPECT_EQ(cfg.get_duration_checked("t").value(), msec(10));
+  ConfigReader in(cfg);
+  EXPECT_EQ(in.get_bytes("size", 0), 16 * MiB);
+  EXPECT_EQ(in.get_duration("t", 0), msec(10));
+  EXPECT_TRUE(in.status().ok());
 }
 
 }  // namespace

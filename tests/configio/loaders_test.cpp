@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace sst::configio {
 namespace {
@@ -106,16 +107,16 @@ TEST(SchedLoader, PolicyNames) {
 }
 
 TEST(NodeLoader, TopologyAndNestedParams) {
-  const auto n = load_node_config(make({{"node.controllers", "2"},
-                                        {"node.disks_per_controller", "4"},
-                                        {"disk.cache.size", "4M"}}));
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(n.value().total_disks(), 8u);
-  EXPECT_EQ(n.value().disk.cache.size, 4 * MiB);
+  const auto t = load_topology_spec(make({{"node.controllers", "2"},
+                                          {"node.disks_per_controller", "4"},
+                                          {"disk.cache.size", "4M"}}));
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t.value().node.total_disks(), 8u);
+  EXPECT_EQ(t.value().node.disk.cache.size, 4 * MiB);
 }
 
 TEST(NodeLoader, RejectsEmptyTopology) {
-  EXPECT_FALSE(load_node_config(make({{"node.controllers", "0"}})).ok());
+  EXPECT_FALSE(load_topology_spec(make({{"node.controllers", "0"}})).ok());
 }
 
 TEST(ExperimentLoader, RawWhenNoSchedKeys) {
@@ -158,6 +159,22 @@ TEST(ExperimentLoader, WorkloadShapeApplied) {
 TEST(ExperimentLoader, RejectsBadWorkload) {
   EXPECT_FALSE(load_experiment(make({{"workload.streams", "0"}})).ok());
   EXPECT_FALSE(load_experiment(make({{"workload.request", "1000"}})).ok());  // unaligned
+}
+
+/// The error load_experiment reports for one key=value, or "<ok>".
+std::string load_error(const char* key, const char* value) {
+  const auto e = load_experiment(make({{key, value}}));
+  return e.ok() ? "<ok>" : e.error().message;
+}
+
+TEST(ExperimentLoader, MalformedValuesFailNamingKeyAndValue) {
+  EXPECT_EQ(load_error("workload.streams", "12x"), "workload.streams=12x: not an integer");
+  EXPECT_EQ(load_error("workload.streams", "abc"), "workload.streams=abc: not an integer");
+  EXPECT_EQ(load_error("disk.rpm", "fast"), "disk.rpm=fast: not an integer");
+  EXPECT_EQ(load_error("slo.quantile", "p99"), "slo.quantile=p99: not a number");
+  EXPECT_EQ(load_error("sched.memory", "lots").rfind("sched.memory=lots: ", 0), 0u);
+  EXPECT_EQ(load_error("run.measure", "2w").rfind("run.measure=2w: ", 0), 0u);
+  EXPECT_EQ(load_error("backend.direct", "maybe").rfind("backend.direct=maybe: ", 0), 0u);
 }
 
 TEST(ExperimentLoader, BackendDefaultsToSim) {

@@ -81,6 +81,17 @@ TEST(Sweep, EmptyGridIsFine) {
   EXPECT_TRUE(run_sweep_jobs({}, 4).empty());
 }
 
+TEST(Sweep, CartesianProductFirstAxisOutermost) {
+  const std::vector<std::vector<int>> axes = {{1, 2}, {10, 20, 30}};
+  const std::vector<std::vector<int>> expected = {{1, 10}, {1, 20}, {1, 30},
+                                                  {2, 10}, {2, 20}, {2, 30}};
+  EXPECT_EQ(cartesian_product(axes), expected);
+  const auto no_axes = cartesian_product(std::vector<std::vector<int>>{});
+  ASSERT_EQ(no_axes.size(), 1u);
+  EXPECT_TRUE(no_axes[0].empty());
+  EXPECT_TRUE(cartesian_product(std::vector<std::vector<int>>{{1, 2}, {}}).empty());
+}
+
 TEST(Sweep, DefaultWorkersHonorsEnvVariable) {
   setenv("SST_BENCH_THREADS", "3", 1);
   EXPECT_EQ(default_sweep_workers(), 3u);
