@@ -56,10 +56,11 @@ LOWER_IS_BETTER_UNITS = {"bytes", "ns/lookup"}
 # Hot paths that must never allocate in steady state, independent of the
 # committed baseline: a baseline that itself regressed (nonzero allocs)
 # must not grandfather the regression in. The flight recorder is on this
-# list because it is always-on — an allocation there taxes every request.
+# list because it is always-on — an allocation there taxes every request;
+# the controller extent cache because every simulated read goes through it.
 ZERO_ALLOC_INVARIANT = {
     "event_throughput", "event_throughput_8k", "schedule_cancel",
-    "tracer_record", "flight_record", "staging_zero_copy",
+    "tracer_record", "flight_record", "staging_zero_copy", "ctrl_cache_ops",
 }
 
 

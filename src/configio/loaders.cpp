@@ -100,6 +100,12 @@ Result<ctrl::ControllerParams> load_controller_params(const Config& cfg) {
   p.transfer_rate_bps = in.get_double("ctrl.rate_mbps", 450.0) * 1e6;
   p.command_overhead = in.get_duration("ctrl.overhead", p.command_overhead);
   if (!in.status().ok()) return in.status().error();
+  // The cache reserves whole sectors; a ragged budget would let one extent
+  // overrun it.
+  if (p.cache_size % kSectorSize != 0) {
+    return make_error("ctrl.cache=" + cfg.get_string("ctrl.cache", "") +
+                      ": not a whole number of 512-byte sectors");
+  }
   return p;
 }
 

@@ -78,6 +78,14 @@ TEST(CtrlLoader, Overrides) {
   EXPECT_DOUBLE_EQ(p.value().transfer_rate_bps, 300e6);
 }
 
+TEST(CtrlLoader, RejectsCacheNotWholeSectors) {
+  const auto p = load_controller_params(make({{"ctrl.cache", "1000"}}));
+  ASSERT_FALSE(p.ok());
+  EXPECT_NE(p.error().message.find("ctrl.cache=1000"), std::string::npos);
+  EXPECT_TRUE(load_controller_params(make({{"ctrl.cache", "0"}})).ok());
+  EXPECT_TRUE(load_controller_params(make({{"ctrl.cache", "1536"}})).ok());
+}
+
 TEST(SchedLoader, PaperParameterization) {
   const auto p = load_scheduler_params(make({{"sched.dispatch", "100"},
                                              {"sched.read_ahead", "8M"},
