@@ -43,11 +43,10 @@ double run_kernel_experiment(oskernel::IoSchedKind kind, std::uint32_t streams) 
   clients.reserve(specs.size());
   for (std::uint32_t i = 0; i < specs.size(); ++i) {
     specs[i].think_time = think;
-    workload::RequestSink sink = [&kernel, i](core::ClientRequest req) {
-      kernel.read(i, req.offset, req.length,
-                  [cb = std::move(req.on_complete)](SimTime t) {
-                    if (cb) cb(t);
-                  });
+    workload::RequestSink sink = [&kernel, &simulator, i](core::ClientRequest req) {
+      kernel.read(i, req.offset, req.length, [&simulator, cb = std::move(req.on_complete)]() {
+        if (cb) cb(simulator.now(), IoStatus::kOk);
+      });
     };
     clients.push_back(std::make_unique<workload::StreamClient>(
         simulator, std::move(sink), specs[i], node.device(0).capacity()));

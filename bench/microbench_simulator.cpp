@@ -407,8 +407,9 @@ BenchResult bench_end_to_end() {
 /// Simulated events per wall-second on one fig01 raw point: 60 closed-loop
 /// 8 KiB streams, no host scheduler, on 15 disks (fig01's controller with
 /// one disk each), so every controller cache holds ~2048 extents. This is
-/// the end-to-end rate the controller cache used to bound.
-BenchResult bench_fig01_raw_events() {
+/// the end-to-end rate the controller cache used to bound. Also reports heap
+/// allocations per completed request over the whole run, setup included.
+void bench_fig01_raw_events(std::vector<BenchResult>& results) {
   node::NodeConfig node;
   node.num_controllers = 15;
   node.disks_per_controller = 1;
@@ -418,15 +419,22 @@ BenchResult bench_fig01_raw_events() {
   cfg.measure = sec(3);
   cfg.streams = workload::make_uniform_streams(60, node.total_disks(),
                                                node.disk.geometry.capacity, 8 * KiB);
+  const std::uint64_t allocs_before = g_allocations.load();
   const auto start = Clock::now();
   const auto result = experiment::run_experiment(cfg);
   const double elapsed = seconds_since(start);
+  const std::uint64_t allocs = g_allocations.load() - allocs_before;
   if (result.requests_completed == 0 || result.sim_events_dispatched == 0) {
     std::fprintf(stderr, "fig01_raw: experiment completed no requests\n");
     std::exit(1);
   }
-  return {"fig01_raw_events_per_sec",
-          static_cast<double>(result.sim_events_dispatched) / elapsed, "events/sec", 0};
+  results.push_back({"fig01_raw_events_per_sec",
+                     static_cast<double>(result.sim_events_dispatched) / elapsed,
+                     "events/sec", 0});
+  results.push_back({"fig01_raw_allocs_per_request",
+                     static_cast<double>(allocs) /
+                         static_cast<double>(result.requests_completed),
+                     "allocs/req", 0});
 }
 
 /// Serial vs parallel run_sweep over a small grid. On multi-core hosts the
@@ -658,7 +666,7 @@ int main(int argc, char** argv) {
   bench_staging(results);
   results.push_back(bench_ctrl_cache());
   results.push_back(bench_end_to_end());
-  results.push_back(bench_fig01_raw_events());
+  bench_fig01_raw_events(results);
   bool find_stream_scaling_ok = true;
   bench_find_stream(results, find_stream_scaling_ok);
   bench_sweep(results);

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/completion.hpp"
@@ -29,8 +28,7 @@ struct BlockRequest {
   std::byte* data = nullptr;
   /// Fires when the request completes, with the completion time and the
   /// outcome (IoStatus::kOk unless a fault-injection/recovery layer is in
-  /// the stack). Accepts both `void(SimTime)` and `void(SimTime, IoStatus)`
-  /// handlers; see common/completion.hpp.
+  /// the stack); see common/completion.hpp.
   IoCompletion on_complete;
 };
 

@@ -37,9 +37,9 @@ class DelayedDevice final : public BlockDevice {
     const std::uint64_t seq = next_seq_++;
     if (should_delay_ && should_delay_(seq, request.offset)) {
       ++delayed_;
-      request.on_complete = [this,
-                             cb = std::move(request.on_complete)](SimTime, IoStatus s) {
-        sim_.schedule_after(extra_delay_, [this, cb, s]() {
+      request.on_complete = [this, cb = std::move(request.on_complete)](SimTime,
+                                                                        IoStatus s) mutable {
+        sim_.schedule_after(extra_delay_, [this, cb = std::move(cb), s]() {
           if (cb) cb(sim_.now(), s);
         });
       };

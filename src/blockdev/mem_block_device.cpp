@@ -55,7 +55,7 @@ void MemBlockDevice::submit(BlockRequest request) {
     if (op == IoOp::kRead && data != nullptr) {
       std::memcpy(data, &store_[offset], length);
     }
-    if (cb) cb(sim_.now());
+    if (cb) cb(sim_.now(), IoStatus::kOk);
   });
 }
 

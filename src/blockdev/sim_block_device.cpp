@@ -30,13 +30,13 @@ void SimBlockDevice::submit(BlockRequest request) {
   cmd.sectors = request.length / kSectorSize;
   cmd.op = request.op;
   cmd.id = request.id;
-  cmd.on_complete = [seed = seed_, offset = request.offset, length = request.length,
+  cmd.on_complete = [this, offset = request.offset, length = request.length,
                      data = request.data, op = request.op,
-                     cb = std::move(request.on_complete)](SimTime t) {
+                     cb = std::move(request.on_complete)]() {
     if (op == IoOp::kRead && data != nullptr) {
-      fill_pattern(seed, offset, data, length);
+      fill_pattern(seed_, offset, data, length);
     }
-    if (cb) cb(t);
+    if (cb) cb(controller_.context().now(), IoStatus::kOk);
   };
   controller_.submit(std::move(cmd));
 }

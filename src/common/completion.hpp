@@ -1,61 +1,27 @@
-// Status-carrying completion callback for asynchronous I/O.
+// Completion callback for asynchronous I/O: `void(SimTime, IoStatus)` held
+// in the shared inline callable (common/inline_fn.hpp).
 //
-// Most of the codebase predates fault injection and registers handlers that
-// only care about the completion time; the fault/recovery layers need the
-// IoStatus as well. IoCompletion accepts both handler shapes: a
-// `void(SimTime)` callable is adapted (it observes time only, which is
-// exactly the legacy behaviour), while a `void(SimTime, IoStatus)` callable
-// sees the full outcome. Invoking with just a time reports success.
-//
-// The timestamp is read from the clock of the ExecutionContext that owns
-// the completing device (exec/execution_context.hpp): virtual nanoseconds
-// under the simulated backend, monotonic wall-clock nanoseconds since
-// context construction under the real io_uring backend. Handlers must not
-// assume virtual time — compare against the same context's now(), never
-// across contexts. Status values are likewise backend-agnostic:
-// IoStatus::kMediaError carries injected faults in simulation and real
-// syscall/short-transfer failures from the uring backend. Completions fire
-// exactly once per request and may fire in any order across requests.
-// Handlers must not assume which stack frame invokes them: simulated
-// devices always defer to the event loop, but the real backend completes
-// degenerate requests (no data buffer, failed submission) inline from
-// submit(), so a handler that resubmits must tolerate re-entrancy.
+// The timestamp is the now() of the ExecutionContext that owns the
+// completing device (exec/execution_context.hpp), read at the moment the
+// callback fires: virtual nanoseconds under the simulated backend,
+// monotonic wall-clock nanoseconds since context construction under the
+// real io_uring backend. Handlers must not assume virtual time — compare
+// against the same context's now(), never across contexts. Status values
+// are likewise backend-agnostic: IoStatus::kMediaError carries injected
+// faults in simulation and real syscall/short-transfer failures from the
+// uring backend. Completions fire exactly once per request and may fire in
+// any order across requests. Handlers must not assume which stack frame
+// invokes them: simulated devices always defer to the event loop, but the
+// real backend completes degenerate requests (no data buffer, failed
+// submission) inline from submit(), so a handler that resubmits must
+// tolerate re-entrancy.
 #pragma once
 
-#include <cstddef>
-#include <functional>
-#include <type_traits>
-#include <utility>
-
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
 
 namespace sst {
 
-class IoCompletion {
- public:
-  IoCompletion() = default;
-  IoCompletion(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
-
-  template <typename F, typename D = std::decay_t<F>,
-            std::enable_if_t<!std::is_same_v<D, IoCompletion> &&
-                                 std::is_invocable_v<D&, SimTime, IoStatus>,
-                             int> = 0>
-  IoCompletion(F&& fn) : fn_(std::forward<F>(fn)) {}  // NOLINT
-
-  template <typename F, typename D = std::decay_t<F>,
-            std::enable_if_t<!std::is_same_v<D, IoCompletion> &&
-                                 !std::is_invocable_v<D&, SimTime, IoStatus> &&
-                                 std::is_invocable_v<D&, SimTime>,
-                             int> = 0>
-  IoCompletion(F&& fn)  // NOLINT(google-explicit-constructor)
-      : fn_([inner = std::forward<F>(fn)](SimTime t, IoStatus) mutable { inner(t); }) {}
-
-  void operator()(SimTime t, IoStatus s = IoStatus::kOk) const { fn_(t, s); }
-
-  [[nodiscard]] explicit operator bool() const { return static_cast<bool>(fn_); }
-
- private:
-  std::function<void(SimTime, IoStatus)> fn_;
-};
+using IoCompletion = InlineFn<void(SimTime, IoStatus)>;
 
 }  // namespace sst

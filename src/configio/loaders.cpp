@@ -349,6 +349,10 @@ Result<experiment::ExperimentConfig> load_experiment(const Config& cfg) {
   if (workload_seed != 0) ec.workload_seed = workload_seed;
   ec.warmup = in.get_duration("run.warmup", ec.warmup);
   ec.measure = in.get_duration("run.measure", ec.measure);
+  if (ec.measure == 0) {
+    return make_error("run.measure=" + cfg.get_string("run.measure", "") +
+                      ": must be positive");
+  }
   const auto shards = in.get_int("sim.shards", in.get_int("topology.shards", 1));
   if (shards < 1) return make_error("sim.shards must be >= 1");
   ec.shards = static_cast<std::uint32_t>(shards);

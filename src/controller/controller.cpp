@@ -26,7 +26,7 @@ void Controller::set_tracer(obs::Tracer* tracer) {
   for (auto& d : disks_) d->set_tracer(tracer);
 }
 
-void Controller::transfer_to_host(Bytes bytes, std::function<void(SimTime)> done) {
+void Controller::transfer_to_host(Bytes bytes, exec::TaskFn done) {
   const SimTime now = sim_.now();
   const SimTime start = std::max(now, bus_free_at_);
   const auto xfer = static_cast<SimTime>(
@@ -41,7 +41,7 @@ void Controller::transfer_to_host(Bytes bytes, std::function<void(SimTime)> done
   stats_.bus_busy_time += end - start;
   stats_.bytes_to_host += bytes;
   bus_free_at_ = end;
-  sim_.schedule_at(end, [cb = std::move(done), end]() { cb(end); });
+  sim_.schedule_at(end, std::move(done));
 }
 
 void Controller::submit(ControllerCommand cmd) {
@@ -82,7 +82,7 @@ void Controller::handle_read(ControllerCommand cmd) {
   disk_cmd.id = cmd.id;
   // Capture what we need by value; `this` outlives the simulation run.
   disk_cmd.on_complete = [this, reservation, request = cmd.sectors,
-                          client_cb = std::move(cmd.on_complete)](SimTime) mutable {
+                          client_cb = std::move(cmd.on_complete)]() mutable {
     // If the reservation was evicted in flight the prefetched tail is
     // dropped, but the demanded bytes still flow to the host.
     (void)cache_.mark_filled(reservation, sim_.now());
@@ -95,7 +95,7 @@ void Controller::handle_write(ControllerCommand cmd) {
   cache_.invalidate(cmd.disk_index, cmd.lba, cmd.sectors);
   // Host-to-controller transfer first, then the disk write.
   const Bytes bytes = sectors_to_bytes(cmd.sectors);
-  transfer_to_host(bytes, [this, cmd = std::move(cmd)](SimTime) mutable {
+  transfer_to_host(bytes, [this, cmd = std::move(cmd)]() mutable {
     disk::DiskCommand disk_cmd;
     disk_cmd.lba = cmd.lba;
     disk_cmd.sectors = cmd.sectors;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -22,14 +21,15 @@
 namespace sst::ctrl {
 
 /// A command as submitted to a controller; `disk_index` addresses one of
-/// the controller's channels.
+/// the controller's channels. `on_complete` runs as the event at the time
+/// the last byte reaches the host.
 struct ControllerCommand {
   std::uint32_t disk_index = 0;
   Lba lba = 0;
   Lba sectors = 0;
   IoOp op = IoOp::kRead;
   RequestId id = kInvalidRequest;
-  std::function<void(SimTime)> on_complete;
+  exec::TaskFn on_complete;
 };
 
 struct ControllerStats {
@@ -48,6 +48,7 @@ class Controller {
   void submit(ControllerCommand cmd);
 
   [[nodiscard]] ControllerId id() const { return id_; }
+  [[nodiscard]] exec::ExecutionContext& context() const { return sim_; }
   [[nodiscard]] std::size_t disk_count() const { return disks_.size(); }
   [[nodiscard]] disk::Disk& disk(std::uint32_t index) { return *disks_.at(index); }
   [[nodiscard]] const disk::Disk& disk(std::uint32_t index) const { return *disks_.at(index); }
@@ -65,7 +66,7 @@ class Controller {
  private:
   /// Serialize `bytes` over the controller-to-host path; `done` fires when
   /// the transfer completes.
-  void transfer_to_host(Bytes bytes, std::function<void(SimTime)> done);
+  void transfer_to_host(Bytes bytes, exec::TaskFn done);
   void handle_read(ControllerCommand cmd);
   void handle_write(ControllerCommand cmd);
 

@@ -488,7 +488,7 @@ void StreamScheduler::serve_request(Stream& stream, ClientRequest request) {
 
   cpu_.execute(cpu_.complete_cost(staging_.live_buffers()),
                [cb = std::move(request.on_complete), this]() {
-                 if (cb) cb(sim_.now());
+                 if (cb) cb(sim_.now(), IoStatus::kOk);
                });
 }
 

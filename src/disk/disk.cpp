@@ -205,9 +205,8 @@ void Disk::service(QueuedCommand qc) {
   if (tracer_ != nullptr) tracer_->end(trace_tid, "disk", "cmd", mechanism_done);
 
   // Completion fires when the host's data is available ...
-  sim_.schedule_at(request_done, [cb = std::move(qc.cmd.on_complete), request_done]() {
-    if (cb) cb(request_done);
-  });
+  sim_.schedule_at(request_done, qc.cmd.on_complete ? std::move(qc.cmd.on_complete)
+                                                     : exec::TaskFn([] {}));
   // ... but the next command starts only once the mechanism is free.
   const bool was_read = cmd.op == IoOp::kRead;
   sim_.schedule_at(mechanism_done, [this, was_read]() {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -15,17 +14,19 @@
 #include "common/slab.hpp"
 #include "common/types.hpp"
 #include "disk/params.hpp"
+#include "exec/task_fn.hpp"
 
 namespace sst::disk {
 
 /// A command as submitted to a disk: sector extent + operation. The
-/// completion callback receives the simulated finish time.
+/// completion callback runs as the simulator event at the finish time, so
+/// handlers read the finish time from the context's now().
 struct DiskCommand {
   Lba lba = 0;
   Lba sectors = 0;
   IoOp op = IoOp::kRead;
   RequestId id = kInvalidRequest;
-  std::function<void(SimTime)> on_complete;
+  exec::TaskFn on_complete;
 };
 
 struct QueuedCommand {

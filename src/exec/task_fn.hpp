@@ -1,105 +1,16 @@
-// Type-erased deferred-work callable shared by every execution context.
+// The unit of deferred work for both execution contexts.
 //
-// TaskFn is the unit of scheduling for both the discrete-event simulator
-// and the wall-clock RealContext: a move-only `void()` callable with inline
-// storage. Closures up to kInlineBytes (covering every callback on the
-// simulator's hot paths) live inside the object; larger ones fall back to a
-// single heap allocation. The inline/relocate/destroy operations are
-// table-driven so moving a TaskFn between slab slots never allocates —
-// the zero-steady-state-allocation invariant of the event engine depends
-// on it.
+// The discrete-event Simulator and the wall-clock RealContext store every
+// scheduled task as a TaskFn in their slot slabs. It is the shared inline
+// callable (common/inline_fn.hpp): closures up to InlineFn::kInlineBytes
+// are stored in place, so scheduling and dispatching them allocates
+// nothing.
 #pragma once
 
-#include <cassert>
-#include <cstddef>
-#include <new>
-#include <type_traits>
-#include <utility>
+#include "common/inline_fn.hpp"
 
 namespace sst::exec {
 
-class TaskFn {
- public:
-  static constexpr std::size_t kInlineBytes = 64;
-
-  TaskFn() noexcept = default;
-
-  template <typename F, typename D = std::decay_t<F>,
-            std::enable_if_t<!std::is_same_v<D, TaskFn> && std::is_invocable_v<D&>, int> = 0>
-  // NOLINTNEXTLINE(google-explicit-constructor) — callable adaptor by design
-  TaskFn(F&& fn) {
-    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
-      ops_ = &kHeapOps<D>;
-    }
-  }
-
-  TaskFn(TaskFn&& other) noexcept { move_from(other); }
-  TaskFn& operator=(TaskFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  TaskFn(const TaskFn&) = delete;
-  TaskFn& operator=(const TaskFn&) = delete;
-  ~TaskFn() { reset(); }
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-  void operator()() {
-    assert(ops_ != nullptr);
-    ops_->invoke(storage_);
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void* storage);
-    /// Move-construct the callable at `dst` from `src`, destroying `src`.
-    void (*relocate)(void* dst, void* src);
-    void (*destroy)(void* storage);
-  };
-
-  template <typename D>
-  static constexpr Ops kInlineOps{
-      [](void* s) { (*std::launder(reinterpret_cast<D*>(s)))(); },
-      [](void* dst, void* src) {
-        D* from = std::launder(reinterpret_cast<D*>(src));
-        ::new (dst) D(std::move(*from));
-        from->~D();
-      },
-      [](void* s) { std::launder(reinterpret_cast<D*>(s))->~D(); }};
-
-  template <typename D>
-  static constexpr Ops kHeapOps{
-      [](void* s) { (**std::launder(reinterpret_cast<D**>(s)))(); },
-      [](void* dst, void* src) {
-        ::new (dst) D*(*std::launder(reinterpret_cast<D**>(src)));
-      },
-      [](void* s) { delete *std::launder(reinterpret_cast<D**>(s)); }};
-
-  void move_from(TaskFn& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-  const Ops* ops_ = nullptr;
-};
+using TaskFn = InlineFn<void()>;
 
 }  // namespace sst::exec

@@ -1,11 +1,10 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace sst::net {
 
-void Channel::send(Bytes payload_bytes, std::function<void()> deliver) {
+void Channel::send(Bytes payload_bytes, exec::TaskFn deliver) {
   const Bytes wire_bytes = payload_bytes + params_.header_bytes;
   const auto serialize = static_cast<SimTime>(
       static_cast<double>(wire_bytes) / params_.bandwidth_bps * 1e9 + 0.5);
@@ -77,13 +76,14 @@ workload::RequestSink RemoteSink::sink() {
     // Carry the whole request across the uplink, then hand to the server.
     // A spike stalls the message before it reaches the wire (switch queue,
     // TCP retransmit), so the uplink only sees it after the delay.
-    auto boxed = std::make_shared<core::ClientRequest>(std::move(req));
+    exec::TaskFn deliver = [this, req = std::move(req)]() mutable { server_(std::move(req)); };
     if (spike_delay > 0) {
-      sim_.schedule_after(spike_delay, [this, boxed, up_payload]() {
-        uplink_.send(up_payload, [this, boxed]() { server_(std::move(*boxed)); });
-      });
+      sim_.schedule_after(spike_delay,
+                          [this, up_payload, deliver = std::move(deliver)]() mutable {
+                            uplink_.send(up_payload, std::move(deliver));
+                          });
     } else {
-      uplink_.send(up_payload, [this, boxed]() { server_(std::move(*boxed)); });
+      uplink_.send(up_payload, std::move(deliver));
     }
   };
 }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/types.hpp"
 #include "fault/injector.hpp"
@@ -66,7 +65,7 @@ class Channel {
 
   /// Deliver `payload_bytes` (+ header) to the far side; `deliver` fires at
   /// arrival time.
-  void send(Bytes payload_bytes, std::function<void()> deliver);
+  void send(Bytes payload_bytes, exec::TaskFn deliver);
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
 

@@ -14,10 +14,9 @@ void NoopScheduler::add(BlockIo io) {
     BlockIo& back = queue_.back();
     if (back.pid == io.pid && back.lba + back.sectors == io.lba) {
       back.sectors += io.sectors;
-      back.on_complete = [a = std::move(back.on_complete),
-                          b = std::move(io.on_complete)](SimTime t) {
-        if (a) a(t);
-        if (b) b(t);
+      back.on_complete = [a = std::move(back.on_complete), b = std::move(io.on_complete)]() {
+        if (a) a();
+        if (b) b();
       };
       return;
     }

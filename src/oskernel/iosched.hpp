@@ -7,12 +7,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 
 #include "common/types.hpp"
+#include "exec/task_fn.hpp"
 
 namespace sst::oskernel {
 
@@ -34,7 +34,7 @@ struct BlockIo {
   Lba sectors = 0;
   std::uint32_t pid = 0;  ///< issuing process (stream)
   SimTime arrival = 0;
-  std::function<void(SimTime)> on_complete;
+  exec::TaskFn on_complete;
 };
 
 class IoScheduler {

@@ -34,8 +34,7 @@ void KernelIo::evict_if_needed() {
   }
 }
 
-void KernelIo::read(std::uint32_t pid, ByteOffset offset, Bytes length,
-                    std::function<void(SimTime)> cb) {
+void KernelIo::read(std::uint32_t pid, ByteOffset offset, Bytes length, exec::TaskFn cb) {
   assert(length > 0);
   assert(offset + length <= device_.capacity());
   ++stats_.reads;
@@ -70,7 +69,7 @@ void KernelIo::read(std::uint32_t pid, ByteOffset offset, Bytes length,
     // Fully cached: complete on the next simulator step (never inline, so
     // callers can treat completion as always asynchronous).
     sim_.schedule_after(0, [pending, this]() {
-      if (pending->cb) pending->cb(sim_.now());
+      if (pending->cb) pending->cb();
     });
   }
   try_dispatch();
@@ -88,9 +87,7 @@ void KernelIo::issue_pages(std::uint32_t pid, PageIndex first, PageIndex last, b
     io.sectors = (run_end - run_start + 1) * (kPageSize / kSectorSize);
     io.pid = pid;
     io.arrival = sim_.now();
-    io.on_complete = [this, run_start, run_end, pid](SimTime t) {
-      on_io_complete(run_start, run_end, pid, t);
-    };
+    io.on_complete = [this, run_start, run_end]() { on_io_complete(run_start, run_end); };
     ++stats_.ios_dispatched;
     stats_.bytes_io += sectors_to_bytes(io.sectors);
     if (readahead) stats_.bytes_readahead += sectors_to_bytes(io.sectors);
@@ -167,18 +164,17 @@ void KernelIo::try_dispatch() {
   req.op = IoOp::kRead;
   const std::uint32_t pid = io->pid;
   const Lba end_lba = io->lba + io->sectors;
-  req.on_complete = [this, cb = std::move(io->on_complete), pid, end_lba](SimTime t) {
+  req.on_complete = [this, cb = std::move(io->on_complete), pid, end_lba](SimTime t, IoStatus) {
     device_busy_ = false;
     head_lba_ = end_lba;
     sched_->on_complete(pid, end_lba, t);
-    if (cb) cb(t);
+    if (cb) cb();
     try_dispatch();
   };
   device_.submit(std::move(req));
 }
 
-void KernelIo::on_io_complete(PageIndex first, PageIndex last, std::uint32_t /*pid*/,
-                              SimTime now) {
+void KernelIo::on_io_complete(PageIndex first, PageIndex last) {
   for (PageIndex p = first; p <= last; ++p) {
     auto it = pages_.find(p);
     if (it == pages_.end()) continue;  // evicted while in flight (rare)
@@ -188,7 +184,7 @@ void KernelIo::on_io_complete(PageIndex first, PageIndex last, std::uint32_t /*p
     for (auto& waiter : page.waiters) {
       assert(waiter->pages_remaining > 0);
       if (--waiter->pages_remaining == 0 && waiter->cb) {
-        waiter->cb(now);
+        waiter->cb();
         waiter->cb = nullptr;
       }
     }

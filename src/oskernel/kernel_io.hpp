@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -57,10 +56,10 @@ class KernelIo {
   KernelIo& operator=(const KernelIo&) = delete;
 
   /// Buffered read: `cb` fires once every page of [offset, offset+length)
-  /// is resident. `pid` identifies the issuing process for read-ahead state
-  /// and scheduler fairness.
-  void read(std::uint32_t pid, ByteOffset offset, Bytes length,
-            std::function<void(SimTime)> cb);
+  /// is resident (the context's now() is the completion time). `pid`
+  /// identifies the issuing process for read-ahead state and scheduler
+  /// fairness.
+  void read(std::uint32_t pid, ByteOffset offset, Bytes length, exec::TaskFn cb);
 
   [[nodiscard]] const KernelIoStats& stats() const { return stats_; }
   [[nodiscard]] IoScheduler& scheduler() { return *sched_; }
@@ -71,7 +70,7 @@ class KernelIo {
 
   struct PendingRead {
     std::size_t pages_remaining = 0;
-    std::function<void(SimTime)> cb;
+    exec::TaskFn cb;
   };
 
   struct Page {
@@ -96,7 +95,7 @@ class KernelIo {
                    const std::shared_ptr<PendingRead>& waiter);
   void run_readahead(std::uint32_t pid, ByteOffset offset, Bytes length);
   void try_dispatch();
-  void on_io_complete(PageIndex first, PageIndex last, std::uint32_t pid, SimTime now);
+  void on_io_complete(PageIndex first, PageIndex last);
 
   exec::ExecutionContext& sim_;
   blockdev::BlockDevice& device_;

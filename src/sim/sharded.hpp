@@ -86,7 +86,7 @@ class ShardedEngine {
   /// `when >= sender_now + lookahead()`; later deliveries clamp to the
   /// barrier time and count as horizon_violations. `from == to` schedules
   /// directly (an ordinary local event, no mailbox, no lookahead floor).
-  void post(std::uint32_t from, std::uint32_t to, SimTime when, detail::EventFn fn);
+  void post(std::uint32_t from, std::uint32_t to, SimTime when, exec::TaskFn fn);
 
   /// Advance every shard to exactly `deadline` (inclusive of events at
   /// `deadline`, like Simulator::run_until), running windows of
@@ -101,7 +101,7 @@ class ShardedEngine {
  private:
   struct Envelope {
     SimTime when = 0;
-    detail::EventFn fn;
+    exec::TaskFn fn;
   };
 
   /// Double-buffered SPSC channel: the sender's worker appends to

@@ -85,7 +85,7 @@ void Simulator::unlink(std::uint32_t index) {
   }
 }
 
-EventHandle Simulator::schedule_at(SimTime when, detail::EventFn fn) {
+EventHandle Simulator::schedule_at(SimTime when, exec::TaskFn fn) {
   assert(when >= now_ && "cannot schedule into the past");
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
@@ -232,7 +232,7 @@ std::uint64_t Simulator::fire_batch(std::uint64_t limit) {
     Slot& slot = slots_[entry.slot];
     if (slot.generation != entry.generation) continue;  // cancelled mid-batch
     assert(slot.alive && slot.where == Where::kBatch);
-    detail::EventFn fn = std::move(slot.fn);
+    exec::TaskFn fn = std::move(slot.fn);
     --live_count_;
     release_slot(entry.slot);  // recycle before invoking: fn may schedule again
     ++executed_;

@@ -7,7 +7,7 @@
 //
 // The event store is a pooled slab: each scheduled event occupies a reusable
 // slot holding its callback inline (no heap allocation for closures up to
-// EventFn::kInlineBytes). Pending events are indexed by a hierarchical timer
+// TaskFn::kInlineBytes). Pending events are indexed by a hierarchical timer
 // wheel — kLevels levels of kSlots buckets, one 64-bit occupancy bitmap per
 // level — whose buckets are intrusive doubly-linked lists threaded through
 // the slab slots, so schedule, cancel (O(1) unlink) and dispatch perform no
@@ -40,15 +40,6 @@
 
 namespace sst::sim {
 
-namespace detail {
-
-/// Historical name for the type-erased event callable; the implementation
-/// moved to exec::TaskFn so both execution contexts share one slab-friendly
-/// representation.
-using EventFn = exec::TaskFn;
-
-}  // namespace detail
-
 /// Handle used to cancel a scheduled event. Cancellation of a wheel-resident
 /// event unlinks it in O(1) and recycles its slot immediately; events parked
 /// in the overflow heap or the current dispatch batch release their callback
@@ -67,10 +58,10 @@ class Simulator final : public exec::ExecutionContext {
   [[nodiscard]] SimTime now() const override { return now_; }
 
   /// Schedule `fn` to run at absolute time `when` (must be >= now()).
-  EventHandle schedule_at(SimTime when, detail::EventFn fn) override;
+  EventHandle schedule_at(SimTime when, exec::TaskFn fn) override;
 
   /// Schedule `fn` to run `delay` nanoseconds from now.
-  EventHandle schedule_after(SimTime delay, detail::EventFn fn) {
+  EventHandle schedule_after(SimTime delay, exec::TaskFn fn) {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
@@ -115,7 +106,7 @@ class Simulator final : public exec::ExecutionContext {
   /// match, the event's key, and the intrusive wheel-bucket linkage. Free
   /// slots chain through `next`.
   struct Slot {
-    detail::EventFn fn;
+    exec::TaskFn fn;
     SimTime when = 0;
     std::uint64_t seq = 0;
     std::uint32_t next = kNoSlot;

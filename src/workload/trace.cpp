@@ -117,7 +117,7 @@ void TraceReplayer::issue_record(std::size_t index) {
   req.op = r.op;
   req.arrival = sim_.now();
   const SimTime issued = sim_.now();
-  req.on_complete = [this, issued](SimTime t) {
+  req.on_complete = [this, issued](SimTime t, IoStatus) {
     ++completed_;
     --in_flight_;
     latency_.add(t - issued);

@@ -61,7 +61,7 @@ TEST(MemDevice, InitializedWithPattern) {
   req.length = buf.size();
   req.data = buf.data();
   bool done = false;
-  req.on_complete = [&done](SimTime) { done = true; };
+  req.on_complete = [&done](SimTime, IoStatus) { done = true; };
   h.dev.submit(std::move(req));
   h.sim.run();
   ASSERT_TRUE(done);
@@ -96,7 +96,7 @@ TEST(MemDevice, CompletionIsAsynchronousAndOrdered) {
     BlockRequest req;
     req.offset = static_cast<ByteOffset>(i) * 4096;
     req.length = 4096;
-    req.on_complete = [&order, i](SimTime) { order.push_back(i); };
+    req.on_complete = [&order, i](SimTime, IoStatus) { order.push_back(i); };
     h.dev.submit(std::move(req));
     order.push_back(-1 - i);  // submission marker
   }
@@ -112,7 +112,7 @@ TEST(MemDevice, LatencyModel) {
   BlockRequest req;
   req.offset = 0;
   req.length = 102'400;  // 200 sectors: 1.024 ms at 100 MB/s
-  req.on_complete = [&done](SimTime t) { done = t; };
+  req.on_complete = [&done](SimTime t, IoStatus) { done = t; };
   dev.submit(std::move(req));
   sim.run();
   EXPECT_NEAR(static_cast<double>(done), static_cast<double>(usec(1124)),
@@ -134,7 +134,7 @@ TEST(SimDevice, ReadFillsPattern) {
   req.length = buf.size();
   req.data = buf.data();
   bool done = false;
-  req.on_complete = [&done](SimTime) { done = true; };
+  req.on_complete = [&done](SimTime, IoStatus) { done = true; };
   dev.submit(std::move(req));
   sim.run();
   ASSERT_TRUE(done);
@@ -161,7 +161,7 @@ TEST(SimDevice, TimingOnlyWhenNoBuffer) {
   BlockRequest req;
   req.offset = 0;
   req.length = 64 * KiB;
-  req.on_complete = [&done](SimTime) { done = true; };
+  req.on_complete = [&done](SimTime, IoStatus) { done = true; };
   dev.submit(std::move(req));
   sim.run();
   EXPECT_TRUE(done);

@@ -269,6 +269,7 @@ TEST_P(BlockDeviceConformance, CompletionsFireOnceWithOkStatusAndValidTime) {
     IoStatus status = IoStatus::kOk;
     SimTime submit = 0;
     SimTime done = 0;
+    SimTime now_at_fire = 0;
   };
   std::vector<Record> records(kRequests);
   for (int i = 0; i < kRequests; ++i) {
@@ -279,10 +280,11 @@ TEST_P(BlockDeviceConformance, CompletionsFireOnceWithOkStatusAndValidTime) {
     req.length = 4 * KiB;
     req.op = IoOp::kRead;
     req.id = static_cast<RequestId>(i + 1);
-    req.on_complete = [&rec](SimTime t, IoStatus s) {
+    req.on_complete = [this, &rec](SimTime t, IoStatus s) {
       ++rec.completions;
       rec.status = s;
       rec.done = t;
+      rec.now_at_fire = h().ctx().now();
     };
     h().device().submit(std::move(req));
   }
@@ -292,6 +294,13 @@ TEST_P(BlockDeviceConformance, CompletionsFireOnceWithOkStatusAndValidTime) {
     EXPECT_EQ(records[i].completions, 1);
     EXPECT_TRUE(io_ok(records[i].status));
     EXPECT_GE(records[i].done, records[i].submit);
+    // The delivered time is the context's now() when the callback fires.
+    // The wall clock moves on between the device's read and the handler's.
+    if (GetParam().uring) {
+      EXPECT_LE(records[i].done, records[i].now_at_fire);
+    } else {
+      EXPECT_EQ(records[i].done, records[i].now_at_fire);
+    }
   }
 }
 

@@ -185,6 +185,12 @@ TEST(ExperimentLoader, MalformedValuesFailNamingKeyAndValue) {
   EXPECT_EQ(load_error("backend.direct", "maybe").rfind("backend.direct=maybe: ", 0), 0u);
 }
 
+TEST(ExperimentLoader, ZeroMeasureWindowIsAnError) {
+  EXPECT_EQ(load_error("run.measure", "0"), "run.measure=0: must be positive");
+  EXPECT_EQ(load_error("run.measure", "0ms"), "run.measure=0ms: must be positive");
+  EXPECT_EQ(load_error("run.measure", "1ms"), "<ok>");
+}
+
 TEST(ExperimentLoader, BackendDefaultsToSim) {
   const auto e = load_experiment(make({{"workload.streams", "2"}}));
   ASSERT_TRUE(e.ok());

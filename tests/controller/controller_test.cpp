@@ -28,7 +28,7 @@ struct Harness {
     cmd.lba = lba;
     cmd.sectors = sectors;
     cmd.op = IoOp::kRead;
-    cmd.on_complete = [&done](SimTime t) { done = t; };
+    cmd.on_complete = [this, &done]() { done = sim.now(); };
     ctrl.submit(std::move(cmd));
     sim.run();
     return done;
@@ -41,7 +41,7 @@ struct Harness {
     cmd.lba = lba;
     cmd.sectors = sectors;
     cmd.op = IoOp::kWrite;
-    cmd.on_complete = [&done](SimTime t) { done = t; };
+    cmd.on_complete = [this, &done]() { done = sim.now(); };
     ctrl.submit(std::move(cmd));
     sim.run();
     return done;
@@ -115,8 +115,8 @@ TEST(Controller, BusSerializesTransfers) {
   c2.lba = 1024;
   c1.sectors = c2.sectors = 2048;  // 1 MB each, both cached
   c1.op = c2.op = IoOp::kRead;
-  c1.on_complete = [&done1](SimTime t) { done1 = t; };
-  c2.on_complete = [&done2](SimTime t) { done2 = t; };
+  c1.on_complete = [&h2, &done1]() { done1 = h2.sim.now(); };
+  c2.on_complete = [&h2, &done2]() { done2 = h2.sim.now(); };
   const SimTime start = h2.sim.now();
   h2.ctrl.submit(std::move(c1));
   h2.ctrl.submit(std::move(c2));
@@ -152,7 +152,7 @@ TEST(Controller, MultiDiskIndependentService) {
     cmd.lba = 1000;
     cmd.sectors = 128;
     cmd.op = IoOp::kRead;
-    cmd.on_complete = [&completions](SimTime) { ++completions; };
+    cmd.on_complete = [&completions]() { ++completions; };
     ctrl.submit(std::move(cmd));
   }
   sim.run();

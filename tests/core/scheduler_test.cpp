@@ -64,7 +64,7 @@ struct Harness {
     req.length = len;
     req.data = data;
     req.arrival = sim.now();
-    req.on_complete = [completions](SimTime) { ++*completions; };
+    req.on_complete = [completions](SimTime, IoStatus) { ++*completions; };
     return req;
   }
 };
@@ -400,7 +400,9 @@ TEST(Scheduler, IssuePathRunsBeforeCompletions) {
   req.device = 0;
   req.offset = 0;
   req.length = 32 * KiB;
-  req.on_complete = [&](SimTime) { submissions_at_completion = h.dev.submissions.size(); };
+  req.on_complete = [&](SimTime, IoStatus) {
+    submissions_at_completion = h.dev.submissions.size();
+  };
   h.sched.enqueue(s, std::move(req));
   h.run_ms(100);
   // By the time the first client completion fired, at least 2 disk reads
@@ -429,7 +431,7 @@ TEST(Scheduler, EveryRequestCompletesExactlyOnce) {
       req.offset = static_cast<ByteOffset>(i) * 8 * MiB +
                    static_cast<ByteOffset>(r) * 32 * KiB;
       req.length = 32 * KiB;
-      req.on_complete = [&completions, id](SimTime) { ++completions[id]; };
+      req.on_complete = [&completions, id](SimTime, IoStatus) { ++completions[id]; };
       h.sched.enqueue(*streams[static_cast<std::size_t>(i)], std::move(req));
     }
     h.run_ms(15);

@@ -39,7 +39,7 @@ struct Harness {
     req.offset = off;
     req.length = len;
     req.data = data;
-    req.on_complete = [&done](SimTime) { ++done; };
+    req.on_complete = [&done](SimTime, IoStatus) { ++done; };
     server.submit(std::move(req));
     run_ms(30);
     return done;
@@ -76,7 +76,7 @@ TEST(Server, WritesAlwaysDirect) {
   req.op = IoOp::kWrite;
   std::vector<std::byte> data(16 * KiB, std::byte{0x5A});
   req.data = data.data();
-  req.on_complete = [&done](SimTime) { ++done; };
+  req.on_complete = [&done](SimTime, IoStatus) { ++done; };
   h.server.submit(std::move(req));
   h.run_ms(30);
   EXPECT_EQ(done, 1);

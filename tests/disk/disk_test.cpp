@@ -28,7 +28,7 @@ struct Harness {
     cmd.lba = lba;
     cmd.sectors = sectors;
     cmd.op = IoOp::kRead;
-    cmd.on_complete = [&done](SimTime t) { done = t; };
+    cmd.on_complete = [this, &done]() { done = sim.now(); };
     disk.submit(std::move(cmd));
     sim.run();
     return done;
@@ -40,7 +40,7 @@ struct Harness {
     cmd.lba = lba;
     cmd.sectors = sectors;
     cmd.op = IoOp::kWrite;
-    cmd.on_complete = [&done](SimTime t) { done = t; };
+    cmd.on_complete = [this, &done]() { done = sim.now(); };
     disk.submit(std::move(cmd));
     sim.run();
     return done;
@@ -163,7 +163,7 @@ TEST(Disk, CommandsServicedSeriallyFifo) {
     DiskCommand cmd;
     cmd.lba = static_cast<Lba>(1'000'000) * (3 - i);  // descending positions
     cmd.sectors = 64;
-    cmd.on_complete = [&order, i](SimTime) { order.push_back(i); };
+    cmd.on_complete = [&order, i]() { order.push_back(i); };
     h.disk.submit(std::move(cmd));
   }
   h.sim.run();
@@ -181,7 +181,7 @@ TEST(Disk, ElevatorReordersBySweep) {
     DiskCommand cmd;
     cmd.lba = lba;
     cmd.sectors = 64;
-    cmd.on_complete = [&order, lba](SimTime) { order.push_back(lba); };
+    cmd.on_complete = [&order, lba]() { order.push_back(lba); };
     h.disk.submit(std::move(cmd));
   }
   h.sim.run();
@@ -229,7 +229,7 @@ TEST(Disk, DemandCompletesBeforeFillTail) {
   DiskCommand cmd;
   cmd.lba = 1'000'000;
   cmd.sectors = 8;  // tiny demand, 256 KB fill
-  cmd.on_complete = [&done](SimTime t) { done = t; };
+  cmd.on_complete = [&h, &done]() { done = h.sim.now(); };
   h.disk.submit(std::move(cmd));
   h.sim.run();
   EXPECT_GT(done, 0u);

@@ -49,7 +49,7 @@ TEST(StorageNode, DiskTotalsAggregate) {
     blockdev::BlockRequest req;
     req.offset = 0;
     req.length = 64 * KiB;
-    req.on_complete = [&done](SimTime) { ++done; };
+    req.on_complete = [&done](SimTime, IoStatus) { ++done; };
     node.device(d).submit(std::move(req));
   }
   sim.run();
@@ -76,7 +76,7 @@ TEST(StorageNode, MakeServerRuns) {
     req.device = 0;
     req.offset = static_cast<ByteOffset>(i) * 64 * KiB;
     req.length = 64 * KiB;
-    req.on_complete = [&done](SimTime) { ++done; };
+    req.on_complete = [&done](SimTime, IoStatus) { ++done; };
     server->submit(std::move(req));
     sim.run_until(sim.now() + msec(100));
   }

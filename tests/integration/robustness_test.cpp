@@ -40,7 +40,7 @@ TEST(Robustness, DelayedCompletionsStillServeEverything) {
     req.device = 0;
     req.offset = static_cast<ByteOffset>(i) * 16 * KiB;
     req.length = 16 * KiB;
-    req.on_complete = [&done](SimTime) { ++done; };
+    req.on_complete = [&done](SimTime, IoStatus) { ++done; };
     server.submit(std::move(req));
     sim.run_until(sim.now() + msec(30));
   }
@@ -64,7 +64,7 @@ TEST(Robustness, GcRacingInflightReadsIsSafe) {
     req.device = 0;
     req.offset = static_cast<ByteOffset>(i) * 16 * KiB;
     req.length = 16 * KiB;
-    req.on_complete = [&done](SimTime) { ++done; };
+    req.on_complete = [&done](SimTime, IoStatus) { ++done; };
     server.submit(std::move(req));
     sim.run_until(sim.now() + msec(120));  // several GC periods per request
   }
@@ -108,7 +108,7 @@ TEST(Robustness, FuzzRandomizedMixThroughServer) {
       req.data = buffers.back().data();
       const std::uint64_t this_id = id++;
       const ByteOffset this_off = cursor;
-      req.on_complete = [&, this_id, this_off, length, seed, i](SimTime) {
+      req.on_complete = [&, this_id, this_off, length, seed, i](SimTime, IoStatus) {
         ++completions[this_id];
         EXPECT_TRUE(blockdev::check_pattern(seed, this_off, buffers[static_cast<std::size_t>(i)].data(),
                                             length))
@@ -142,7 +142,7 @@ TEST(Robustness, BurstThenSilenceReclaimsEverything) {
       req.offset = static_cast<ByteOffset>(s) * 8 * MiB +
                    static_cast<ByteOffset>(i) * 16 * KiB;
       req.length = 16 * KiB;
-      req.on_complete = [&done](SimTime) { ++done; };
+      req.on_complete = [&done](SimTime, IoStatus) { ++done; };
       server.submit(std::move(req));
     }
   }

@@ -87,7 +87,7 @@ TEST(RemoteSink, ReadCompletesWithNetworkLatencyAdded) {
   req.device = 0;
   req.offset = 0;
   req.length = 16 * KiB;
-  req.on_complete = [&done_at, &h](SimTime) { done_at = h.sim.now(); };
+  req.on_complete = [&done_at, &h](SimTime, IoStatus) { done_at = h.sim.now(); };
   const SimTime t0 = h.sim.now();
   sink(std::move(req));
   h.sim.run_until(h.sim.now() + sec(1));
@@ -108,7 +108,7 @@ TEST(RemoteSink, ResponsesCarryNoDataByDefault) {
   req.device = 0;
   req.offset = 0;
   req.length = 1 * MiB;  // large read
-  req.on_complete = [&done](SimTime) { ++done; };
+  req.on_complete = [&done](SimTime, IoStatus) { ++done; };
   sink(std::move(req));
   h.sim.run_until(h.sim.now() + sec(1));
   ASSERT_EQ(done, 1);
@@ -128,7 +128,7 @@ TEST(RemoteSink, ResponsesCarryDataWhenEnabled) {
   req.device = 0;
   req.offset = 0;
   req.length = 1 * MiB;
-  req.on_complete = [&done](SimTime) { ++done; };
+  req.on_complete = [&done](SimTime, IoStatus) { ++done; };
   sink(std::move(req));
   h.sim.run_until(h.sim.now() + sec(1));
   ASSERT_EQ(done, 1);
@@ -146,7 +146,7 @@ TEST(RemoteSink, WritePayloadTravelsUplink) {
   req.offset = 0;
   req.length = 256 * KiB;
   req.op = IoOp::kWrite;
-  req.on_complete = [&done](SimTime) { ++done; };
+  req.on_complete = [&done](SimTime, IoStatus) { ++done; };
   sink(std::move(req));
   h.sim.run_until(h.sim.now() + sec(1));
   ASSERT_EQ(done, 1);
@@ -192,7 +192,7 @@ TEST(RemoteSink, FaultHangDropsRequestInTransit) {
   req.device = 0;
   req.offset = 0;
   req.length = 16 * KiB;
-  req.on_complete = [&done](SimTime) { ++done; };
+  req.on_complete = [&done](SimTime, IoStatus) { ++done; };
   sink(std::move(req));
   h.sim.run_until(h.sim.now() + sec(10));
   EXPECT_EQ(done, 0);
@@ -243,7 +243,7 @@ TEST(RemoteSink, FaultSpikeDelaysButCompletes) {
     req.device = 0;
     req.offset = 0;
     req.length = 16 * KiB;
-    req.on_complete = [&done_at, &h](SimTime) { done_at = h.sim.now(); };
+    req.on_complete = [&done_at, &h](SimTime, IoStatus) { done_at = h.sim.now(); };
     sink(std::move(req));
     h.sim.run_until(h.sim.now() + sec(10));
     EXPECT_GT(done_at, 0u);

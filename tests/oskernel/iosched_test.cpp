@@ -35,16 +35,16 @@ TEST(Noop, BackMergeContiguousSamePid) {
   NoopScheduler s;
   int completions = 0;
   auto io1 = make(100, 1);
-  io1.on_complete = [&](SimTime) { ++completions; };
+  io1.on_complete = [&]() { ++completions; };
   auto io2 = make(108, 1);
-  io2.on_complete = [&](SimTime) { ++completions; };
+  io2.on_complete = [&]() { ++completions; };
   s.add(std::move(io1));
   s.add(std::move(io2));
   EXPECT_EQ(s.size(), 1u);
   auto io = s.select(0, 0);
   ASSERT_TRUE(io.has_value());
   EXPECT_EQ(io->sectors, 16u);
-  io->on_complete(0);
+  io->on_complete();
   EXPECT_EQ(completions, 2);  // both callbacks chained
 }
 

@@ -25,7 +25,7 @@ struct Harness {
 
   int read(std::uint32_t pid, ByteOffset off, Bytes len) {
     int done = 0;
-    kernel.read(pid, off, len, [&done](SimTime) { ++done; });
+    kernel.read(pid, off, len, [&done]() { ++done; });
     sim.run();
     return done;
   }
@@ -109,8 +109,8 @@ TEST(KernelIo, ConcurrentReadersOfSamePagesShareIo) {
   Harness h;
   int done = 0;
   // Two reads of the same cold page issued back-to-back: one I/O.
-  h.kernel.read(0, 0, 4 * KiB, [&done](SimTime) { ++done; });
-  h.kernel.read(1, 0, 4 * KiB, [&done](SimTime) { ++done; });
+  h.kernel.read(0, 0, 4 * KiB, [&done]() { ++done; });
+  h.kernel.read(1, 0, 4 * KiB, [&done]() { ++done; });
   h.sim.run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(h.kernel.stats().page_misses, 1u);
@@ -152,7 +152,7 @@ TEST(KernelIo, CfqSchedulerIntegration) {
   int done = 0;
   for (std::uint32_t pid = 0; pid < 4; ++pid) {
     h.kernel.read(pid, static_cast<ByteOffset>(pid) * 8 * MiB, 4 * KiB,
-                  [&done](SimTime) { ++done; });
+                  [&done]() { ++done; });
   }
   h.sim.run();
   EXPECT_EQ(done, 4);

@@ -43,7 +43,7 @@ TEST(Striped, SmallRequestGoesToOneMember) {
   blockdev::BlockRequest req;
   req.offset = 64 * KiB;  // entirely on member 1
   req.length = 16 * KiB;
-  req.on_complete = [&done](SimTime) { ++done; };
+  req.on_complete = [&done](SimTime, IoStatus) { ++done; };
   h.vol.submit(std::move(req));
   h.sim.run();
   EXPECT_EQ(done, 1);
@@ -55,7 +55,7 @@ TEST(Striped, LargeRequestFansOutAndCompletesOnce) {
   blockdev::BlockRequest req;
   req.offset = 32 * KiB;
   req.length = 256 * KiB;  // spans 5 stripe units across all members
-  req.on_complete = [&done](SimTime) { ++done; };
+  req.on_complete = [&done](SimTime, IoStatus) { ++done; };
   h.vol.submit(std::move(req));
   h.sim.run();
   EXPECT_EQ(done, 1);
@@ -138,7 +138,7 @@ TEST(Mirrored, WriteReplicatesToAllMembers) {
   w.length = data.size();
   w.op = IoOp::kWrite;
   w.data = data.data();
-  w.on_complete = [&done](SimTime) { ++done; };
+  w.on_complete = [&done](SimTime, IoStatus) { ++done; };
   vol.submit(std::move(w));
   h.sim.run();
   EXPECT_EQ(done, 1);  // single completion at the slowest replica

@@ -20,10 +20,10 @@ struct RecordingSink {
 
   RequestSink make() {
     return [this](core::ClientRequest req) {
-      seen.push_back(req);  // copy of the metadata fields
       sim.schedule_after(delay, [cb = std::move(req.on_complete), this]() {
-        if (cb) cb(sim.now());
+        if (cb) cb(sim.now(), IoStatus::kOk);
       });
+      seen.push_back(std::move(req));  // the metadata fields
     };
   }
 };
@@ -145,10 +145,11 @@ TEST(RandomClient, OffsetsAlignedAndInBounds) {
   sim::Simulator sim;
   std::vector<core::ClientRequest> seen;
   RequestSink sink = [&](core::ClientRequest req) {
-    seen.push_back(req);
+    IoCompletion cb = std::move(req.on_complete);
+    seen.push_back(std::move(req));
     if (seen.size() < 50) {
-      sim.schedule_after(usec(10), [cb = std::move(req.on_complete), &sim]() {
-        cb(sim.now());
+      sim.schedule_after(usec(10), [cb = std::move(cb), &sim]() {
+        cb(sim.now(), IoStatus::kOk);
       });
     }
   };

@@ -43,7 +43,9 @@ TEST(NearSequential, StridedClientAdvancesWithGap) {
   std::vector<ByteOffset> offsets;
   workload::RequestSink sink = [&](core::ClientRequest req) {
     offsets.push_back(req.offset);
-    sim.schedule_after(usec(10), [cb = std::move(req.on_complete), &sim]() { cb(sim.now()); });
+    sim.schedule_after(usec(10), [cb = std::move(req.on_complete), &sim]() {
+      cb(sim.now(), IoStatus::kOk);
+    });
   };
   workload::StreamSpec spec;
   spec.request_size = 16 * KiB;
@@ -112,7 +114,7 @@ TEST(NearSequential, DataIntegrityWithGaps) {
     req.offset = off;
     req.length = buf.size();
     req.data = buf.data();
-    req.on_complete = [&done](SimTime) { ++done; };
+    req.on_complete = [&done](SimTime, IoStatus) { ++done; };
     h.server.submit(std::move(req));
     h.sim.run_until(h.sim.now() + msec(50));
     ASSERT_EQ(done, i + 1);

@@ -53,7 +53,7 @@ TEST(TraceRecorder, PreservesInnerCompletion) {
   core::ClientRequest req;
   req.offset = 0;
   req.length = 4 * KiB;
-  req.on_complete = [&done](SimTime) { ++done; };
+  req.on_complete = [&done](SimTime, IoStatus) { ++done; };
   sink(std::move(req));
   h.sim.run();
   EXPECT_EQ(done, 1);
