@@ -10,8 +10,9 @@
 // With --real-file it instead becomes the sim-vs-real calibration harness:
 // the same 1x1 workload runs once on the simulated backend and once on the
 // io_uring backend over the named (pattern-formatted) file, and the paired
-// throughput/latency numbers land in a JSON report. Requires a build with
-// -DSST_WITH_URING=ON; exits 2 otherwise.
+// throughput/latency numbers land in a JSON report — written on failure
+// too, with the rows that ran and an "error" field, before exiting 1.
+// Requires a build with -DSST_WITH_URING=ON; exits 2 otherwise.
 //
 //   calibration [--real-file PATH] [--out FILE] [--streams N]
 //               [--request BYTES] [--measure-ms MS] [--devices D]
@@ -31,6 +32,7 @@
 #include <exception>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/autotune.hpp"
@@ -38,6 +40,7 @@
 #include "disk/seek_model.hpp"
 #include "experiment/runner.hpp"
 #include "node/storage_node.hpp"
+#include "obs/metrics.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -123,29 +126,70 @@ CalRow run_one(const experiment::ExperimentConfig& cfg, const char* mode,
   return row;
 }
 
+/// Write the JSON report: every row that ran, and an "error" field when a
+/// check or a run failed. False when the file can't be opened.
+bool write_report(const std::string& out_path, const std::string& file,
+                  std::uint32_t streams, Bytes request, SimTime measure, std::uint32_t devices,
+                  const std::vector<CalRow>& rows, const std::string& error) {
+  std::FILE* out = std::fopen(out_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "calibration: cannot open %s\n", out_path.c_str());
+    return false;
+  }
+  std::fprintf(out,
+               "{\n  \"file\": \"%s\",\n  \"streams\": %u,\n"
+               "  \"request\": %llu,\n  \"measure_ms\": %.0f,\n"
+               "  \"devices\": %u,\n  \"host_cores\": %u,\n",
+               obs::json_escaped(file).c_str(), streams,
+               static_cast<unsigned long long>(request), to_millis(measure), devices,
+               std::thread::hardware_concurrency());
+  if (!error.empty()) {
+    std::fprintf(out, "  \"error\": \"%s\",\n", obs::json_escaped(error).c_str());
+  }
+  std::fprintf(out, "  \"runs\": [\n");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& row = rows[i];
+    std::fprintf(out,
+                 "    {\"mode\": \"%s\", \"backend\": \"%s\", \"reactors\": %u, "
+                 "\"mbps\": %.3f, "
+                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"p999_ms\": %.4f, "
+                 "\"syscalls_per_request\": %.4f, "
+                 "\"requests\": %llu}%s\n",
+                 row.mode.c_str(), row.backend.c_str(), row.reactors, row.mbps,
+                 row.p50_ms, row.p99_ms, row.p999_ms, row.syscalls_per_request,
+                 static_cast<unsigned long long>(row.requests),
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n}\n");
+  std::fclose(out);
+  std::printf("wrote %s\n", out_path.c_str());
+  return true;
+}
+
 /// Sim-vs-real comparison over the same workload; writes the JSON report.
 int run_real_calibration(const std::string& file, const std::string& out_path,
                          std::uint32_t streams, Bytes request, SimTime measure,
                          std::uint32_t devices, std::uint32_t reactors) {
+  std::vector<CalRow> rows;
+  // Every failure still leaves a report behind.
+  auto fail = [&](int code, const std::string& error) {
+    std::fprintf(stderr, "calibration: %s\n", error.c_str());
+    write_report(out_path, file, streams, request, measure, devices, rows, error);
+    return code;
+  };
   if (!experiment::real_backend_available()) {
-    std::fprintf(stderr,
-                 "calibration: --real-file needs a build with -DSST_WITH_URING=ON\n");
-    return 2;
+    return fail(2, "--real-file needs a build with -DSST_WITH_URING=ON");
   }
   std::error_code ec;
   const auto file_size = std::filesystem::file_size(file, ec);
   if (ec || file_size < request * streams) {
-    std::fprintf(stderr,
-                 "calibration: %s missing or smaller than streams*request "
-                 "(format it with scripts/mkpattern.py)\n",
-                 file.c_str());
-    return 1;
+    return fail(1, file + " missing or smaller than streams*request "
+                          "(format it with scripts/mkpattern.py)");
   }
   // Per-device slice, truncated to whole requests.
   const Bytes span =
       static_cast<Bytes>(file_size) / devices / request * request;
 
-  std::vector<CalRow> rows;
   for (const bool with_scheduler : {false, true}) {
     const char* mode = with_scheduler ? "sched" : "raw";
     experiment::ExperimentConfig cfg =
@@ -160,8 +204,7 @@ int run_real_calibration(const std::string& file, const std::string& out_path,
       try {
         rows.push_back(run_one(cfg, mode, "real"));
       } catch (const std::exception& err) {
-        std::fprintf(stderr, "calibration: real run failed: %s\n", err.what());
-        return 1;
+        return fail(1, std::string("real run failed: ") + err.what());
       }
     }
   }
@@ -182,35 +225,7 @@ int run_real_calibration(const std::string& file, const std::string& out_path,
                   row.p99_ms);
     }
   }
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "calibration: cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"file\": \"%s\",\n  \"streams\": %u,\n"
-               "  \"request\": %llu,\n  \"measure_ms\": %.0f,\n"
-               "  \"devices\": %u,\n  \"runs\": [\n",
-               file.c_str(), streams, static_cast<unsigned long long>(request),
-               to_millis(measure), devices);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"backend\": \"%s\", \"reactors\": %u, "
-                 "\"mbps\": %.3f, "
-                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"p999_ms\": %.4f, "
-                 "\"syscalls_per_request\": %.4f, "
-                 "\"requests\": %llu}%s\n",
-                 row.mode.c_str(), row.backend.c_str(), row.reactors, row.mbps,
-                 row.p50_ms, row.p99_ms, row.p999_ms, row.syscalls_per_request,
-                 static_cast<unsigned long long>(row.requests),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return write_report(out_path, file, streams, request, measure, devices, rows, "") ? 0 : 1;
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 //
 // Requires a build with -DSST_WITH_URING=ON and a pattern-formatted
 // backing file (scripts/mkpattern.py); exits 2 without the backend and 1
-// on a missing/undersized file. Results are machine- and disk-dependent:
+// on a missing/undersized file or a failed run, writing the JSON report
+// either way (the rows that ran plus an "error" field). Results are
+// machine- and disk-dependent:
 // the JSON report is a CI artifact, not a gated baseline, and the 1 -> 2
 // reactor scaling floor is only enforced on hosts with >= 4 cores (below
 // that the second reactor has no core to run on and the ratio is noise).
@@ -31,6 +33,7 @@
 
 #include "experiment/runner.hpp"
 #include "node/storage_node.hpp"
+#include "obs/metrics.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -92,6 +95,50 @@ RunRow run_one(experiment::ExperimentConfig cfg, std::uint32_t reactors) {
   return row;
 }
 
+/// Write the JSON report: every row that ran, and an "error" field when an
+/// input check or a run failed. False when the file can't be opened.
+bool write_report(const std::string& out_path, const std::string& file, std::uint32_t streams,
+                  Bytes request, SimTime measure, unsigned cores, double scaling,
+                  const std::vector<RunRow>& rows, const std::string& error) {
+  std::FILE* out = std::fopen(out_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "uring_parallel: cannot open %s\n", out_path.c_str());
+    return false;
+  }
+  std::fprintf(out,
+               "{\n  \"file\": \"%s\",\n  \"devices\": %u,\n  \"streams\": %u,\n"
+               "  \"request\": %llu,\n  \"measure_ms\": %.0f,\n"
+               "  \"host_cores\": %u,\n  \"scaling_1_to_2\": %.4f,\n",
+               obs::json_escaped(file).c_str(), kDevices, streams,
+               static_cast<unsigned long long>(request), to_millis(measure), cores, scaling);
+  if (!error.empty()) {
+    std::fprintf(out, "  \"error\": \"%s\",\n", obs::json_escaped(error).c_str());
+  }
+  std::fprintf(out, "  \"runs\": [\n");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& row = rows[i];
+    std::fprintf(out,
+                 "    {\"reactors\": %u, \"mbps\": %.3f, \"p50_ms\": %.4f, "
+                 "\"p99_ms\": %.4f, \"syscalls_per_request\": %.4f, "
+                 "\"requests\": %llu, \"wakeups\": %llu, \"spurious\": %llu, "
+                 "\"device_completed\": [",
+                 row.reactors, row.mbps, row.p50_ms, row.p99_ms,
+                 row.syscalls_per_request,
+                 static_cast<unsigned long long>(row.requests),
+                 static_cast<unsigned long long>(row.wakeups),
+                 static_cast<unsigned long long>(row.spurious));
+    for (std::size_t d = 0; d < row.device_completed.size(); ++d) {
+      std::fprintf(out, "%s%llu", d ? ", " : "",
+                   static_cast<unsigned long long>(row.device_completed[d]));
+    }
+    std::fprintf(out, "]}%s\n", i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n}\n");
+  std::fclose(out);
+  std::printf("wrote %s\n", out_path.c_str());
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,27 +176,28 @@ int main(int argc, char** argv) {
       return arg == "--help" || arg == "-h" ? 0 : 1;
     }
   }
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::vector<RunRow> rows;
+  // Every failure past argument parsing still leaves a report behind.
+  auto fail = [&](int code, const std::string& error) {
+    std::fprintf(stderr, "uring_parallel: %s\n", error.c_str());
+    write_report(out_path, file, streams, request, measure, cores, 0.0, rows, error);
+    return code;
+  };
   if (!experiment::real_backend_available()) {
-    std::fprintf(stderr,
-                 "uring_parallel: needs a build with -DSST_WITH_URING=ON\n");
-    return 2;
+    return fail(2, "needs a build with -DSST_WITH_URING=ON");
   }
   if (file.empty() || streams < kDevices || request == 0 ||
       request % kSectorSize != 0) {
-    std::fprintf(stderr,
-                 "uring_parallel: --file is required, streams must be >= %u and "
-                 "request a positive multiple of %llu\n",
-                 kDevices, static_cast<unsigned long long>(kSectorSize));
-    return 1;
+    return fail(1, "--file is required, streams must be >= " + std::to_string(kDevices) +
+                       " and request a positive multiple of " +
+                       std::to_string(kSectorSize));
   }
   std::error_code ec;
   const auto file_size = std::filesystem::file_size(file, ec);
   if (ec || file_size / kDevices < request * (streams / kDevices + 1)) {
-    std::fprintf(stderr,
-                 "uring_parallel: %s missing or too small for %u device slices "
-                 "(format it with scripts/mkpattern.py)\n",
-                 file.c_str(), kDevices);
-    return 1;
+    return fail(1, file + " missing or too small for " + std::to_string(kDevices) +
+                       " device slices (format it with scripts/mkpattern.py)");
   }
   // Per-device slice, truncated to whole requests: the span every stream's
   // offsets stay inside regardless of which device homes it.
@@ -157,19 +205,15 @@ int main(int argc, char** argv) {
 
   const experiment::ExperimentConfig cfg =
       make_config(file, span, streams, request, measure);
-  std::vector<RunRow> rows;
   for (const std::uint32_t reactors : {1u, 2u}) {
     try {
       rows.push_back(run_one(cfg, reactors));
     } catch (const std::exception& err) {
-      std::fprintf(stderr, "uring_parallel: %u-reactor run failed: %s\n",
-                   reactors, err.what());
-      return 1;
+      return fail(1, std::to_string(reactors) + "-reactor run failed: " + err.what());
     }
   }
 
   const double scaling = rows[0].mbps > 0 ? rows[1].mbps / rows[0].mbps : 0.0;
-  const unsigned cores = std::thread::hardware_concurrency();
   std::printf("== uring_parallel (%u devices, %u streams, %llu B requests) ==\n",
               kDevices, streams, static_cast<unsigned long long>(request));
   for (const auto& row : rows) {
@@ -181,40 +225,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(row.spurious));
   }
   std::printf("1 -> 2 reactor scaling: %.2fx (%u cores)\n", scaling, cores);
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "uring_parallel: cannot open %s\n", out_path.c_str());
+  if (!write_report(out_path, file, streams, request, measure, cores, scaling, rows, "")) {
     return 1;
   }
-  std::fprintf(out,
-               "{\n  \"file\": \"%s\",\n  \"devices\": %u,\n  \"streams\": %u,\n"
-               "  \"request\": %llu,\n  \"measure_ms\": %.0f,\n"
-               "  \"cores\": %u,\n  \"scaling_1_to_2\": %.4f,\n  \"runs\": [\n",
-               file.c_str(), kDevices, streams,
-               static_cast<unsigned long long>(request), to_millis(measure),
-               cores, scaling);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    std::fprintf(out,
-                 "    {\"reactors\": %u, \"mbps\": %.3f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f, \"syscalls_per_request\": %.4f, "
-                 "\"requests\": %llu, \"wakeups\": %llu, \"spurious\": %llu, "
-                 "\"device_completed\": [",
-                 row.reactors, row.mbps, row.p50_ms, row.p99_ms,
-                 row.syscalls_per_request,
-                 static_cast<unsigned long long>(row.requests),
-                 static_cast<unsigned long long>(row.wakeups),
-                 static_cast<unsigned long long>(row.spurious));
-    for (std::size_t d = 0; d < row.device_completed.size(); ++d) {
-      std::fprintf(out, "%s%llu", d ? ", " : "",
-                   static_cast<unsigned long long>(row.device_completed[d]));
-    }
-    std::fprintf(out, "]}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
 
   if (cores >= 4 && min_scaling > 0.0 && scaling < min_scaling) {
     std::fprintf(stderr,

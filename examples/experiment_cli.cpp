@@ -64,9 +64,9 @@
 //   backend.direct=true         try O_DIRECT first (tmpfs and friends fall
 //                               back to buffered I/O automatically)
 //   backend.reactors=1          reactor threads; > 1 carves the devices into
-//                               per-reactor groups, each with its own rings
-//                               and epoll loop (the real mirror of
-//                               sim.shards); must stay 1 with backend.kind=sim
+//                               per-reactor groups, each sharing one
+//                               io_uring (the real mirror of sim.shards);
+//                               must stay 1 with backend.kind=sim
 //
 // Exit codes: 0 = success, 1 = usage/config/runtime error, 3 = SLO breach,
 // 4 = backend.kind=real without an io_uring build. `--help` prints the key

@@ -1,8 +1,8 @@
 // Asynchronous block-device abstraction. The core stream scheduler is
 // written against this interface so the same code drives (a) the simulated
-// controller/disk hierarchy used for every paper experiment and (b) a
-// RAM-backed device used by data-integrity tests and the quickstart
-// example.
+// controller/disk hierarchy used for every paper experiment and (b) the
+// io_uring real-I/O device; tests add RAM-backed and delaying devices
+// (tests/support/).
 //
 // Requests optionally carry a data pointer. Devices that model timing only
 // still honour it: reads fill the buffer with the device's deterministic
@@ -56,11 +56,22 @@ class BlockDevice {
 }
 
 /// Fill `[data, data+length)` with the pattern for `[offset, ...)`.
-void fill_pattern(std::uint64_t seed, ByteOffset offset, std::byte* data, Bytes length);
+inline void fill_pattern(std::uint64_t seed, ByteOffset offset, std::byte* data, Bytes length) {
+  for (Bytes i = 0; i < length; ++i) data[i] = pattern_byte(seed, offset + i);
+}
 
 /// True when the buffer matches the pattern (first mismatch offset written
 /// to *mismatch when provided).
-[[nodiscard]] bool check_pattern(std::uint64_t seed, ByteOffset offset, const std::byte* data,
-                                 Bytes length, ByteOffset* mismatch = nullptr);
+[[nodiscard]] inline bool check_pattern(std::uint64_t seed, ByteOffset offset,
+                                        const std::byte* data, Bytes length,
+                                        ByteOffset* mismatch = nullptr) {
+  for (Bytes i = 0; i < length; ++i) {
+    if (data[i] != pattern_byte(seed, offset + i)) {
+      if (mismatch != nullptr) *mismatch = offset + i;
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace sst::blockdev

@@ -1,8 +1,11 @@
 // io_uring block device, implemented against the raw kernel ABI
 // (<linux/io_uring.h> + syscalls) so no userspace liburing is required.
-// Single-threaded like the rest of the execution model: submissions and
-// completions both happen on the reactor thread, so the ring barriers are
-// only against the kernel, never against another userspace thread.
+// Every device opened on one exec::RealContext shares that context's one
+// ring (UringBlockDevice::Ring), which is also the context's
+// CompletionDriver. Single-threaded like the rest of the execution model:
+// submissions and completions both happen on the reactor thread, so the
+// ring barriers are only against the kernel, never against another
+// userspace thread.
 #include "blockdev/uring_block_device.hpp"
 
 #if !defined(SST_WITH_URING)
@@ -12,7 +15,6 @@
 #include <fcntl.h>
 #include <linux/io_uring.h>
 #include <linux/time_types.h>
-#include <sys/eventfd.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
@@ -39,7 +41,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <deque>
 #include <new>
 #include <string>
@@ -61,10 +62,11 @@ constexpr Bytes kMaxSqeBytes = Bytes{1} << 30;
 /// Transient kernel results (-EAGAIN/-EINTR) are resubmitted up to this
 /// many times per request before surfacing as a media error.
 constexpr std::uint32_t kMaxTransientRetries = 8;
-/// IORING_REGISTER_EVENTFD by value: it is an enumerator (not a macro) in
-/// <linux/io_uring.h>, so old headers can't be probed with #ifndef. The
-/// ABI value is fixed.
-constexpr unsigned kRegisterEventfd = 4;
+/// Smallest completion queue a ring gets. Every in-ring request has at most
+/// one CQE outstanding and each device caps its in-ring requests at its
+/// queue_depth, so a CQ at least the attached devices' summed depths can
+/// never overflow; open() refuses a device that would break that.
+constexpr unsigned kMinCqEntries = 4096;
 
 int sys_io_uring_setup(unsigned entries, io_uring_params* params) {
   return static_cast<int>(syscall(__NR_io_uring_setup, entries, params));
@@ -93,7 +95,7 @@ bool aligned_for_direct(const BlockRequest& request, ByteOffset file_offset) {
          (file_offset % kDirectAlign) == 0 && (request.length % kDirectAlign) == 0;
 }
 
-/// Device-owned buffers for data-less requests: a real device cannot
+/// Ring-owned buffers for data-less requests: a real device cannot
 /// transfer into nothing, so a request without a data pointer borrows a
 /// 4096-aligned (O_DIRECT-capable), zero-initialised buffer for its stay in
 /// the ring. Buffers are recycled per size, so a closed loop stops
@@ -127,19 +129,44 @@ class ScratchPool {
 
 }  // namespace
 
+/// One device: its backing file, its depth cap and backlog, its counters.
 struct UringBlockDevice::Impl {
-  exec::RealContext* ctx = nullptr;
+  std::shared_ptr<Ring> ring;
   UringParams params;
   Bytes capacity = 0;
-
   int direct_fd = -1;    ///< -1 when the filesystem refused O_DIRECT
   int buffered_fd = -1;  ///< always valid; serves unaligned requests
+  std::size_t inflight = 0;  ///< this device's requests inside the ring
+  /// FIFO of accepted requests waiting for one of this device's ring slots.
+  std::deque<BlockRequest> backlog;
+  UringStats stats;
+
+  ~Impl() {
+    if (direct_fd >= 0) close(direct_fd);
+    if (buffered_fd >= 0) close(buffered_fd);
+  }
+};
+
+/// The context's one io_uring: every device opened on the context stages
+/// its SQEs here, and the reactor blocks in it.
+struct UringBlockDevice::Ring final : exec::CompletionDriver,
+                                      std::enable_shared_from_this<Ring> {
+  exec::RealContext* ctx = nullptr;
   int ring_fd = -1;
-  int efd = -1;           ///< registered completion eventfd (multiplex mode)
-  bool ext_arg = false;   ///< IORING_FEAT_EXT_ARG: timed waits in one syscall
   bool defer_taskrun = false;  ///< ring got IORING_SETUP_DEFER_TASKRUN
+  unsigned sq_entries = 0;
+  unsigned cq_entries = 0;
   /// SQEs written into the SQ ring but not yet pushed to the kernel.
   unsigned staged = 0;
+  /// Summed queue_depth of the attached devices: the most requests (and so
+  /// CQEs) that can be inside the ring at once.
+  std::size_t reserved_depth = 0;
+  /// Device that opened the ring and reports its ring-level counters;
+  /// nullptr once that device is gone.
+  const Impl* reporter = nullptr;
+  /// Ring-level counters (enter_syscalls through batch_size_log2, and
+  /// setup_flags); the per-device fields stay zero.
+  UringStats counters;
 
   // Ring mappings. With IORING_FEAT_SINGLE_MMAP the SQ and CQ rings share
   // one mapping; sqes are always their own.
@@ -163,6 +190,7 @@ struct UringBlockDevice::Impl {
 
   /// One record per request inside the ring, addressed by user_data.
   struct Pending {
+    Impl* dev = nullptr;  ///< device the request was submitted to
     BlockRequest request;
     Bytes done = 0;  ///< bytes already transferred (short-op continuation)
     int buf_index = -1;
@@ -173,10 +201,10 @@ struct UringBlockDevice::Impl {
   };
   std::vector<Pending> pending;
   std::uint32_t free_head = UINT32_MAX;
-  std::size_t inflight = 0;
-
-  /// FIFO of accepted requests waiting for a ring slot.
-  std::deque<BlockRequest> backlog;
+  std::size_t inflight = 0;  ///< live `pending` entries, all devices
+  /// Requests whose SQE the kernel refused. They complete with kMediaError
+  /// from the next reap, never inside submit().
+  std::vector<std::uint32_t> refused;
   ScratchPool scratch_pool;
 
   struct Region {
@@ -186,43 +214,42 @@ struct UringBlockDevice::Impl {
   std::vector<Region> regions;  ///< sorted by base; index == buf_index
   bool buffers_registered = false;
 
-  UringStats stats;
+  /// Set up a ring with an SQ of `entries` and install it as `context`'s
+  /// driver.
+  static Result<std::shared_ptr<Ring>> create(exec::RealContext& context, unsigned entries) {
+    auto ring = std::make_shared<Ring>();
+    ring->ctx = &context;
+    if (Status status = ring->setup(entries); !status.ok()) return status.error();
+    context.set_driver(ring.get());
+    return ring;
+  }
 
-  ~Impl() {
+  ~Ring() override {
+    if (ctx->driver() == this) ctx->set_driver(nullptr);
     if (sqe_mem != MAP_FAILED) munmap(sqe_mem, sqe_bytes);
     if (cq_ring_mem != MAP_FAILED && cq_ring_mem != sq_ring_mem) {
       munmap(cq_ring_mem, cq_ring_bytes);
     }
     if (sq_ring_mem != MAP_FAILED) munmap(sq_ring_mem, sq_ring_bytes);
     if (ring_fd >= 0) close(ring_fd);
-    if (efd >= 0) close(efd);
-    if (direct_fd >= 0) close(direct_fd);
-    if (buffered_fd >= 0) close(buffered_fd);
   }
 
-  Status setup_ring() {
+  Status setup(unsigned entries) {
     // Runtime feature detection with graceful fallback: each attempt drops
-    // the newest flag set, so an old kernel (EINVAL on unknown setup flags)
-    // ends at a plain ring. Multiplexed rings never ask for the taskrun
-    // flags — COOP/DEFER_TASKRUN defer CQE posting until the issuer enters
-    // the kernel, which would leave an epoll_wait on the ring eventfd
-    // sleeping through completions.
+    // the newest flag, so an old kernel (EINVAL on unknown setup flags)
+    // ends at a plain ring. The completion queue is sized explicitly
+    // (IORING_SETUP_CQSIZE) for every attempt.
     const unsigned coop = IORING_SETUP_COOP_TASKRUN;
     const unsigned single = IORING_SETUP_SINGLE_ISSUER;
     const unsigned defer = IORING_SETUP_DEFER_TASKRUN;
-    std::vector<unsigned> attempts;
-    if (params.multiplex) {
-      attempts = {single, 0};
-    } else {
-      attempts = {coop | single | defer, coop | single, coop, 0};
-    }
     io_uring_params setup{};
-    for (const unsigned flags : attempts) {
+    for (const unsigned flags : {coop | single | defer, coop | single, coop, 0U}) {
       setup = io_uring_params{};
-      setup.flags = flags;
-      ring_fd = sys_io_uring_setup(params.queue_depth, &setup);
+      setup.flags = flags | IORING_SETUP_CQSIZE;
+      setup.cq_entries = std::max(kMinCqEntries, 2 * entries);
+      ring_fd = sys_io_uring_setup(entries, &setup);
       if (ring_fd >= 0) {
-        stats.setup_flags = flags;
+        counters.setup_flags = setup.flags;
         defer_taskrun = (flags & defer) != 0;
         break;
       }
@@ -231,20 +258,13 @@ struct UringBlockDevice::Impl {
     if (ring_fd < 0) {
       return make_error("io_uring_setup failed: " + std::string(strerror(errno)));
     }
-    ext_arg = (setup.features & IORING_FEAT_EXT_ARG) != 0;
-
-    if (params.multiplex) {
-      // Completion eventfd for the reactor's epoll set. Best-effort: a ring
-      // without one still works, it just forces the reactor onto the
-      // capped-poll fallback path.
-      efd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-      if (efd >= 0 &&
-          sys_io_uring_register(ring_fd, kRegisterEventfd, &efd, 1) < 0) {
-        close(efd);
-        efd = -1;
-      }
-      stats.eventfd_registered = efd >= 0;
+    if ((setup.features & IORING_FEAT_EXT_ARG) == 0) {
+      return make_error(
+          "uring: the kernel lacks IORING_FEAT_EXT_ARG (timed completion waits); "
+          "Linux 5.11 or newer is required");
     }
+    sq_entries = setup.sq_entries;
+    cq_entries = setup.cq_entries;
 
     sq_ring_bytes = setup.sq_off.array + setup.sq_entries * sizeof(unsigned);
     cq_ring_bytes = setup.cq_off.cqes + setup.cq_entries * sizeof(io_uring_cqe);
@@ -296,24 +316,6 @@ struct UringBlockDevice::Impl {
     return static_cast<std::uint32_t>(pending.size() - 1);
   }
 
-  /// Take `pending[index]`'s request out of the ring, returning any
-  /// borrowed scratch buffer, and recycle the slot.
-  BlockRequest retire(std::uint32_t index) {
-    Pending& entry = pending[index];
-    BlockRequest done = std::move(entry.request);
-    if (entry.scratch) {
-      scratch_pool.release(done.data, done.length);
-      done.data = nullptr;
-    }
-    entry.request = BlockRequest{};
-    entry.alive = false;
-    entry.next_free = free_head;
-    free_head = index;
-    --inflight;
-    ++stats.completed;
-    return done;
-  }
-
   /// Registered region containing [data, data+length), or -1.
   int region_of(const std::byte* data, Bytes length) const {
     if (!buffers_registered) return -1;
@@ -330,29 +332,30 @@ struct UringBlockDevice::Impl {
   }
 
   /// Stage the continuation of `pending[index]` into the SQ ring without
-  /// telling the kernel — flush() pushes the whole staged batch with one
-  /// io_uring_enter. The ring can never be full here: SQEs are consumed by
-  /// the flush syscall and in-ring requests are capped at queue_depth.
+  /// telling the kernel; the reactor's blocking poll submits the staged
+  /// batch. A full SQ (several devices' bursts) is pushed first.
   void stage_sqe(std::uint32_t index) {
+    if (staged == sq_entries) flush();
     Pending& entry = pending[index];
+    Impl& dev = *entry.dev;
     const BlockRequest& request = entry.request;
-    const ByteOffset file_offset = params.base_offset + request.offset + entry.done;
+    const ByteOffset file_offset = dev.params.base_offset + request.offset + entry.done;
     std::byte* data = request.data + entry.done;
     const Bytes remaining = request.length - entry.done;
     // sqe.len is only 32 bits wide: issue at most kMaxSqeBytes per SQE and
     // let reap()'s short-transfer continuation submit the rest.
     const Bytes chunk = std::min(remaining, kMaxSqeBytes);
 
-    const bool use_direct = direct_fd >= 0 && aligned_for_direct(request, file_offset) &&
+    const bool use_direct = dev.direct_fd >= 0 && aligned_for_direct(request, file_offset) &&
                             (reinterpret_cast<std::uintptr_t>(data) % kDirectAlign) == 0 &&
                             (remaining % kDirectAlign) == 0;
-    if (use_direct) ++stats.direct_ops;
+    if (use_direct) ++dev.stats.direct_ops;
 
     const unsigned tail = load_acquire(sq_tail);
     const unsigned slot = tail & sq_mask;
     io_uring_sqe& sqe = sqes[slot];
     std::memset(&sqe, 0, sizeof(sqe));
-    sqe.fd = use_direct ? direct_fd : buffered_fd;
+    sqe.fd = use_direct ? dev.direct_fd : dev.buffered_fd;
     sqe.off = file_offset;
     sqe.addr = reinterpret_cast<std::uint64_t>(data);
     sqe.len = static_cast<std::uint32_t>(chunk);
@@ -360,7 +363,7 @@ struct UringBlockDevice::Impl {
     if (entry.buf_index >= 0) {
       sqe.opcode = request.op == IoOp::kRead ? IORING_OP_READ_FIXED : IORING_OP_WRITE_FIXED;
       sqe.buf_index = static_cast<std::uint16_t>(entry.buf_index);
-      ++stats.fixed_buffer_ops;
+      ++dev.stats.fixed_buffer_ops;
     } else {
       sqe.opcode = request.op == IoOp::kRead ? IORING_OP_READ : IORING_OP_WRITE;
     }
@@ -372,68 +375,59 @@ struct UringBlockDevice::Impl {
   /// Record one successful enter that pushed `batch` SQEs.
   void note_batch(unsigned batch) {
     if (batch == 0) return;
-    ++stats.flush_batches;
-    stats.sqes_flushed += batch;
-    stats.batch_size_max = std::max<std::uint64_t>(stats.batch_size_max, batch);
+    ++counters.flush_batches;
+    counters.sqes_flushed += batch;
+    counters.batch_size_max = std::max<std::uint64_t>(counters.batch_size_max, batch);
     std::size_t bucket = 0;
     while ((batch >> (bucket + 1)) != 0 && bucket + 1 < kUringBatchBuckets) {
       ++bucket;
     }
-    ++stats.batch_size_log2[bucket];
+    ++counters.batch_size_log2[bucket];
   }
 
-  /// Kernel refused to accept `count` staged SQEs: rewind the SQ tail past
-  /// them and surface each as an immediate media error — the completion
-  /// path can't see a request the kernel never took.
-  void fail_staged(unsigned count) {
+  /// The kernel refused the staged SQEs: rewind the SQ tail past them and
+  /// queue each request for a kMediaError completion on the next reap —
+  /// the completion path can't see a request the kernel never took.
+  void refuse_staged() {
     const unsigned tail = load_acquire(sq_tail);
-    std::vector<std::uint32_t> failed;
-    failed.reserve(count);
-    for (unsigned j = 0; j < count; ++j) {
-      const unsigned slot = (tail - count + j) & sq_mask;
-      failed.push_back(static_cast<std::uint32_t>(sqes[slot].user_data));
+    for (unsigned j = 0; j < staged; ++j) {
+      const unsigned slot = (tail - staged + j) & sq_mask;
+      refused.push_back(static_cast<std::uint32_t>(sqes[slot].user_data));
     }
-    store_release(sq_tail, tail - count);
-    staged -= count;
-    for (const std::uint32_t index : failed) {
-      ++stats.errors;
-      const BlockRequest done = retire(index);
-      if (done.on_complete) done.on_complete(ctx->now(), IoStatus::kMediaError);
-    }
+    store_release(sq_tail, tail - staged);
+    staged = 0;
   }
 
-  /// Push every staged SQE to the kernel: one io_uring_enter for the whole
-  /// batch. With DEFER_TASKRUN the enter also carries GETEVENTS (with
+  /// Push every staged SQE to the kernel without waiting: one
+  /// io_uring_enter for the whole batch (more only when the kernel takes
+  /// part of it). With DEFER_TASKRUN the enter also carries GETEVENTS (with
   /// min_complete = 0 it never blocks) so deferred completions post in the
-  /// same syscall. Returns the number of SQEs flushed.
-  std::size_t flush() {
-    const unsigned batch = staged;
-    unsigned remaining = staged;
+  /// same syscall.
+  void flush() {
     std::uint32_t transient = 0;
-    while (remaining > 0) {
+    while (staged > 0) {
       const unsigned wait_flags = defer_taskrun ? IORING_ENTER_GETEVENTS : 0;
-      const int rc =
-          sys_io_uring_enter(ring_fd, remaining, 0, wait_flags, nullptr, 0);
-      ++stats.enter_syscalls;
+      const int rc = sys_io_uring_enter(ring_fd, staged, 0, wait_flags, nullptr, 0);
+      ++counters.enter_syscalls;
       if (rc < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN && transient++ < kMaxTransientRetries) continue;
         // Hard submission failure (resource exhaustion, ring gone): fail
         // everything the kernel didn't take.
-        fail_staged(remaining);
-        return batch - remaining;
+        refuse_staged();
+        return;
       }
-      remaining -= static_cast<unsigned>(rc);
       staged -= static_cast<unsigned>(rc);
       note_batch(static_cast<unsigned>(rc));
     }
-    return batch;
   }
 
-  /// Move one accepted request into the ring (staged; not yet submitted).
-  void start(BlockRequest request) {
+  /// Move one accepted request of `dev` into the ring (staged; not yet
+  /// submitted).
+  void start(Impl& dev, BlockRequest request) {
     const std::uint32_t index = acquire_pending();
     Pending& entry = pending[index];
+    entry.dev = &dev;
     entry.request = std::move(request);
     entry.scratch = entry.request.data == nullptr;
     if (entry.scratch) {
@@ -444,21 +438,59 @@ struct UringBlockDevice::Impl {
     entry.buf_index = region_of(entry.request.data, entry.request.length);
     entry.alive = true;
     ++inflight;
+    ++dev.inflight;
     stage_sqe(index);
   }
 
-  /// Drain every ready CQE; returns the number of *requests* completed
-  /// (continuations of short ops don't count). Completion callbacks run
-  /// here and may call submit() reentrantly — the backlog/depth accounting
-  /// keeps that safe.
+  /// Take `pending[index]` out of the ring, returning any borrowed scratch
+  /// buffer, admit the device's oldest parked request into the freed slot,
+  /// then run the completion callback.
+  void finish(std::uint32_t index, IoStatus status) {
+    Pending& entry = pending[index];
+    Impl& dev = *entry.dev;
+    BlockRequest done = std::move(entry.request);
+    if (entry.scratch) {
+      scratch_pool.release(done.data, done.length);
+      done.data = nullptr;
+    }
+    entry.request = BlockRequest{};
+    entry.dev = nullptr;
+    entry.alive = false;
+    entry.next_free = free_head;
+    free_head = index;
+    --inflight;
+    --dev.inflight;
+    ++dev.stats.completed;
+    if (status != IoStatus::kOk) ++dev.stats.errors;
+    if (!dev.backlog.empty()) {
+      BlockRequest next = std::move(dev.backlog.front());
+      dev.backlog.pop_front();
+      start(dev, std::move(next));
+    }
+    if (done.on_complete) done.on_complete(ctx->now(), status);
+  }
+
+  /// Handle every refused request and every ready CQE; returns the number
+  /// of completion events handled (a short transfer's CQE counts, though
+  /// its request continues). Completion callbacks run here and may call
+  /// submit() reentrantly — the backlog/depth accounting keeps that safe.
   std::size_t reap() {
-    std::size_t completed_requests = 0;
+    std::size_t events = 0;
+    while (!refused.empty()) {
+      std::vector<std::uint32_t> batch;
+      batch.swap(refused);
+      for (const std::uint32_t index : batch) {
+        ++events;
+        finish(index, IoStatus::kMediaError);
+      }
+    }
     for (;;) {
       const unsigned head = load_acquire(cq_head);
       const unsigned tail = load_acquire(cq_tail);
       if (head == tail) break;
       const io_uring_cqe cqe = cqes[head & cq_mask];
       store_release(cq_head, head + 1);
+      ++events;
 
       const auto index = static_cast<std::uint32_t>(cqe.user_data);
       assert(index < pending.size() && pending[index].alive);
@@ -467,7 +499,7 @@ struct UringBlockDevice::Impl {
         // Short transfer: continue where it stopped.
         entry.done += static_cast<Bytes>(cqe.res);
         entry.retries = 0;  // forward progress resets the transient budget
-        ++stats.short_resubmits;
+        ++entry.dev->stats.short_resubmits;
         stage_sqe(index);
         continue;
       }
@@ -476,62 +508,39 @@ struct UringBlockDevice::Impl {
         // Transient kernel result, not a media failure: resubmit the same
         // continuation (bounded, so a persistently unready fd still errors).
         ++entry.retries;
-        ++stats.transient_retries;
+        ++entry.dev->stats.transient_retries;
         stage_sqe(index);
         continue;
       }
-      const IoStatus status = cqe.res <= 0 ? IoStatus::kMediaError : IoStatus::kOk;
-      if (status != IoStatus::kOk) ++stats.errors;
-      ++completed_requests;
-      const BlockRequest done = retire(index);
-      if (done.on_complete) done.on_complete(ctx->now(), status);
+      finish(index, cqe.res <= 0 ? IoStatus::kMediaError : IoStatus::kOk);
     }
-    // Ring slots freed: admit parked requests.
-    while (!backlog.empty() && inflight < params.queue_depth) {
-      BlockRequest next = std::move(backlog.front());
-      backlog.pop_front();
-      start(std::move(next));
-    }
-    return completed_requests;
+    return events;
   }
 
-  /// Flush any staged SQEs and block in the kernel until completions or
-  /// `max_wait` ns — submit and wait combined into a single io_uring_enter
-  /// (IORING_ENTER_GETEVENTS), so the steady-state reactor turn costs one
-  /// syscall per batch. min_complete scales with the pipeline (a quarter of
-  /// the in-flight requests, capped) instead of waking per completion:
-  /// devices whose completions trickle one at a time would otherwise cost
-  /// one enter each. The closed loop refills what the wait drains, the
-  /// remaining three quarters keep the device busy meanwhile, and the
-  /// timeout still returns exactly at the caller's deadline, so timers
-  /// never slip.
-  void flush_and_wait(SimTime max_wait) {
-    if (!ext_arg) {
-      // Ancient-kernel fallback (no EXT_ARG): an untimed GETEVENTS wait
-      // would block past the caller's deadline, so flush separately, nap
-      // briefly and let the caller re-poll.
-      flush();
-      timespec ts{};
-      const SimTime nap = std::min<SimTime>(max_wait, 1'000'000);  // <= 1 ms
-      ts.tv_nsec = static_cast<long>(nap);
-      nanosleep(&ts, nullptr);
-      return;
-    }
+  /// Submit the staged batch and block until completions or `max_wait` ns
+  /// in a single io_uring_enter (GETEVENTS | EXT_ARG with a timeout), so
+  /// the steady-state reactor turn costs one syscall per batch.
+  /// min_complete scales with the pipeline (a quarter of the in-flight
+  /// requests, capped) instead of waking per completion: completions that
+  /// trickle one at a time would otherwise cost one enter each. The closed
+  /// loop refills what the wait drains, the remaining three quarters keep
+  /// the devices busy meanwhile, and the timeout still returns at the
+  /// caller's deadline, so timers never slip.
+  void submit_and_wait(SimTime max_wait) {
     // Every staged SQE rides this enter, so afterwards all `inflight`
     // requests are kernel-side — the wait target is safe to derive from it.
-    const auto wait_nr = static_cast<unsigned>(
-        std::clamp<std::size_t>(inflight / 4, 1, 32));
+    const auto wait_nr =
+        static_cast<unsigned>(std::clamp<std::size_t>(inflight / 4, 1, 32));
     for (;;) {
-      const unsigned to_submit = staged;
       __kernel_timespec ts{};
       ts.tv_sec = static_cast<long long>(max_wait / 1'000'000'000ULL);
       ts.tv_nsec = static_cast<long long>(max_wait % 1'000'000'000ULL);
       io_uring_getevents_arg arg{};
       arg.ts = reinterpret_cast<std::uint64_t>(&ts);
       const int rc = sys_io_uring_enter(
-          ring_fd, to_submit, wait_nr,
-          IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG, &arg, sizeof(arg));
-      ++stats.enter_syscalls;
+          ring_fd, staged, wait_nr, IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG, &arg,
+          sizeof(arg));
+      ++counters.enter_syscalls;
       if (rc >= 0) {
         // rc = SQEs the kernel consumed before (and regardless of) the
         // wait outcome.
@@ -543,11 +552,23 @@ struct UringBlockDevice::Impl {
       if (errno == EINTR) continue;
       if (errno == ETIME) return;  // deadline, nothing submitted (staged was 0)
       // Submission-side error: route through flush(), which owns the
-      // retry/fail-staged handling, then let the caller re-poll.
+      // retry/refuse handling, then let the caller re-poll.
       flush();
       return;
     }
   }
+
+  // exec::CompletionDriver
+  std::size_t poll(SimTime max_wait) override {
+    std::size_t events = reap();
+    if (events == 0 && inflight > 0 && max_wait > 0) {
+      submit_and_wait(max_wait);
+      events = reap();
+    }
+    return events;
+  }
+
+  [[nodiscard]] std::size_t in_flight() const override { return inflight; }
 };
 
 Result<std::unique_ptr<UringBlockDevice>> UringBlockDevice::open(exec::RealContext& ctx,
@@ -556,7 +577,6 @@ Result<std::unique_ptr<UringBlockDevice>> UringBlockDevice::open(exec::RealConte
   if (params.queue_depth == 0) return make_error("uring: queue_depth must be >= 1");
 
   auto impl = std::make_unique<Impl>();
-  impl->ctx = &ctx;
 
   impl->buffered_fd = ::open(params.path.c_str(), O_RDWR | O_CLOEXEC);
   if (impl->buffered_fd < 0) {
@@ -593,21 +613,40 @@ Result<std::unique_ptr<UringBlockDevice>> UringBlockDevice::open(exec::RealConte
   impl->capacity = capacity;
   impl->params = std::move(params);
 
-  if (Status ring = impl->setup_ring(); !ring.ok()) return ring.error();
-
-  auto device = std::unique_ptr<UringBlockDevice>(new UringBlockDevice(std::move(impl)));
-  ctx.add_driver(device.get());
-  return device;
+  // Attach to the context's ring, setting it up on the first open.
+  std::shared_ptr<Ring> ring;
+  if (exec::CompletionDriver* driver = ctx.driver(); driver != nullptr) {
+    auto* existing = dynamic_cast<Ring*>(driver);
+    if (existing == nullptr) {
+      return make_error("uring: the context already has a completion driver that is not a ring");
+    }
+    ring = existing->shared_from_this();
+  } else {
+    auto created = Ring::create(ctx, impl->params.queue_depth);
+    if (!created.ok()) return created.error();
+    ring = std::move(created).value();
+    ring->reporter = impl.get();
+  }
+  if (ring->reserved_depth + impl->params.queue_depth > ring->cq_entries) {
+    return make_error("uring: queue depths on one ring would exceed its " +
+                      std::to_string(ring->cq_entries) + "-entry completion queue");
+  }
+  ring->reserved_depth += impl->params.queue_depth;
+  impl->stats.setup_flags = ring->counters.setup_flags;
+  impl->ring = std::move(ring);
+  return std::unique_ptr<UringBlockDevice>(new UringBlockDevice(std::move(impl)));
 }
 
 UringBlockDevice::UringBlockDevice(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 
 UringBlockDevice::~UringBlockDevice() {
-  // Drain rather than abandon: completion callbacks own buffers. poll()
-  // blocks in the combined flush+wait path, so a deep backlog drains at one
-  // syscall per completion batch instead of one per millisecond.
-  while (impl_->inflight > 0 || !impl_->backlog.empty()) poll(msec(50));
-  impl_->ctx->remove_driver(this);
+  // Drain rather than abandon: completion callbacks own buffers. Each poll
+  // blocks in the combined submit+wait, so a deep backlog drains at one
+  // syscall per completion batch.
+  Ring& ring = *impl_->ring;
+  while (impl_->inflight > 0 || !impl_->backlog.empty()) ring.poll(msec(50));
+  ring.reserved_depth -= impl_->params.queue_depth;
+  if (ring.reporter == impl_.get()) ring.reporter = nullptr;
 }
 
 void UringBlockDevice::submit(BlockRequest request) {
@@ -623,7 +662,7 @@ void UringBlockDevice::submit(BlockRequest request) {
                                                         impl_->backlog.size());
     return;
   }
-  impl_->start(std::move(request));
+  impl_->ring->start(*impl_, std::move(request));
 }
 
 Bytes UringBlockDevice::capacity() const { return impl_->capacity; }
@@ -632,63 +671,54 @@ std::string UringBlockDevice::name() const { return impl_->params.label; }
 
 std::uint64_t UringBlockDevice::seed() const { return impl_->params.seed; }
 
-std::size_t UringBlockDevice::poll(SimTime max_wait) {
-  std::size_t completed = impl_->reap();
-  if (completed == 0 && impl_->inflight > 0 && max_wait > 0) {
-    impl_->flush_and_wait(max_wait);
-    completed = impl_->reap();
-  }
-  return completed;
-}
-
 std::size_t UringBlockDevice::in_flight() const {
   return impl_->inflight + impl_->backlog.size();
 }
 
-std::size_t UringBlockDevice::flush() {
-  // Reactor-driven flush with plugging: hold the staged batch back while
-  // the kernel still owns more than half the pipeline. Completions of the
-  // kernel-side majority keep waking the reactor, staged work accumulates
-  // toward ~queue_depth/2 per enter, and the rule degenerates to
-  // flush-immediately the moment the kernel side would run dry (staged
-  // SQEs count toward `inflight`, so kernel-side = inflight - staged).
-  if (2 * impl_->staged < impl_->inflight) return 0;
-  return impl_->flush();
-}
-
-int UringBlockDevice::event_fd() const { return impl_->efd; }
-
 Status UringBlockDevice::register_buffers(
     const std::vector<std::pair<std::byte*, Bytes>>& regions) {
-  if (impl_->buffers_registered) return make_error("uring: buffers already registered");
-  if (impl_->inflight > 0) return make_error("uring: cannot register with I/O in flight");
+  Ring& ring = *impl_->ring;
+  if (ring.buffers_registered) return make_error("uring: buffers already registered");
+  if (ring.inflight > 0) return make_error("uring: cannot register with I/O in flight");
   if (regions.empty()) return Status::success();
 
-  std::vector<Impl::Region> sorted;
+  std::vector<Ring::Region> sorted;
   sorted.reserve(std::min(regions.size(), kMaxRegisteredRegions));
   for (const auto& [base, length] : regions) {
     if (sorted.size() == kMaxRegisteredRegions) break;
     if (base != nullptr && length > 0) sorted.push_back({base, length});
   }
   std::sort(sorted.begin(), sorted.end(),
-            [](const Impl::Region& a, const Impl::Region& b) { return a.base < b.base; });
+            [](const Ring::Region& a, const Ring::Region& b) { return a.base < b.base; });
 
   std::vector<iovec> iovecs(sorted.size());
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     iovecs[i].iov_base = sorted[i].base;
     iovecs[i].iov_len = sorted[i].length;
   }
-  const int rc = sys_io_uring_register(impl_->ring_fd, IORING_REGISTER_BUFFERS,
-                                       iovecs.data(), static_cast<unsigned>(iovecs.size()));
+  const int rc = sys_io_uring_register(ring.ring_fd, IORING_REGISTER_BUFFERS, iovecs.data(),
+                                       static_cast<unsigned>(iovecs.size()));
   if (rc < 0) {
     return make_error("uring: buffer registration failed: " + std::string(strerror(errno)));
   }
-  impl_->regions = std::move(sorted);
-  impl_->buffers_registered = true;
+  ring.regions = std::move(sorted);
+  ring.buffers_registered = true;
   return Status::success();
 }
 
-const UringStats& UringBlockDevice::stats() const { return impl_->stats; }
+const UringStats& UringBlockDevice::stats() const {
+  UringStats& stats = impl_->stats;
+  const Ring& ring = *impl_->ring;
+  if (ring.reporter == impl_.get()) {
+    const UringStats& c = ring.counters;
+    stats.enter_syscalls = c.enter_syscalls;
+    stats.flush_batches = c.flush_batches;
+    stats.sqes_flushed = c.sqes_flushed;
+    stats.batch_size_max = c.batch_size_max;
+    stats.batch_size_log2 = c.batch_size_log2;
+  }
+  return stats;
+}
 
 bool UringBlockDevice::using_direct() const { return impl_->direct_fd >= 0; }
 

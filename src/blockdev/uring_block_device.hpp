@@ -7,37 +7,42 @@
 // The header is portable (no kernel headers leak out of the pimpl); the
 // implementation is only compiled when the build enables -DSST_WITH_URING=ON,
 // so referencing UringBlockDevice::open() without it is a link error. Use
-// uring_backend_available() to branch at runtime.
+// uring_backend_available() to branch at runtime. The kernel must be Linux
+// 5.11 or newer (IORING_FEAT_EXT_ARG); open() fails naming it otherwise.
 //
 // I/O model:
-//  - Bounded in-flight depth: at most `queue_depth` operations are inside
-//    the ring; further submissions park in a FIFO backlog and drain as
-//    completions arrive, so a burst can never overflow the submission queue.
+//  - One ring per context: the first open() on a RealContext sets up an
+//    io_uring and installs it as the context's CompletionDriver; later
+//    opens on that context attach their file to the same ring, and the ring
+//    goes away with its last device. The reactor blocks in that ring alone.
+//  - Bounded in-flight depth per device: at most `queue_depth` of a
+//    device's operations are inside the ring; further submissions park in
+//    the device's FIFO backlog and enter as its completions arrive. The
+//    ring's completion queue is sized for the summed depths, so no CQE can
+//    overflow (open() refuses a device that would exceed it).
 //  - Batched submission: submit() only *stages* SQEs into the submission
-//    ring. The kernel is told about them by flush() — one io_uring_enter
-//    for the whole staged batch — or by poll(), which combines the flush
-//    with a completion wait (IORING_ENTER_GETEVENTS) so the steady-state
-//    hot path is one syscall per batch, not per request. The reactor
-//    (exec::RealContext) calls flush() on every turn before blocking.
-//  - Modern setup flags (IORING_SETUP_COOP_TASKRUN / SINGLE_ISSUER /
-//    DEFER_TASKRUN) are attempted with runtime feature detection and
-//    graceful fallback on older kernels; stats().setup_flags reports what
-//    the ring actually got. Rings opened with multiplex=true skip the
-//    taskrun flags (deferred completion posting would starve an epoll
-//    waiter) and instead register an eventfd the reactor can multiplex.
+//    ring (pushing the batch early only when the SQ is full). The reactor's
+//    blocking poll submits the staged batch and waits for completions in
+//    one io_uring_enter(GETEVENTS | EXT_ARG) bounded by the next timer, so
+//    the steady-state hot path is one syscall per batch, not per request.
+//  - Setup flags: IORING_SETUP_COOP_TASKRUN | SINGLE_ISSUER | DEFER_TASKRUN
+//    are requested, dropping the newest on EINVAL for older kernels;
+//    stats().setup_flags reports what the ring got. SINGLE_ISSUER binds the
+//    ring to the thread that opened it: open, submit and run the context
+//    there.
 //  - O_DIRECT is attempted first and silently degrades to buffered I/O when
 //    the filesystem refuses it (tmpfs) or a request is not 4096-aligned
 //    (pointer, offset and length all must be).
 //  - Buffers registered via register_buffers() (typically the staging area's
-//    extent-slab regions) are used as io_uring fixed buffers: requests whose
-//    data pointer falls inside a registered region submit READ_FIXED /
-//    WRITE_FIXED and skip the per-op pin/unpin.
-//  - Requests without a data pointer borrow a recycled device-owned scratch
+//    extent-slab regions) are io_uring fixed buffers of the shared ring:
+//    requests whose data pointer falls inside a registered region submit
+//    READ_FIXED / WRITE_FIXED and skip the per-op pin/unpin.
+//  - Requests without a data pointer borrow a recycled ring-owned scratch
 //    buffer and go through the ring like any other request.
 //  - Short reads/writes are transparently resubmitted for the remainder,
 //    and transient kernel results (-EAGAIN/-EINTR) are retried a bounded
-//    number of times; any other completion error surfaces as
-//    IoStatus::kMediaError.
+//    number of times; any other completion error, and any SQE the kernel
+//    refuses, surfaces as IoStatus::kMediaError.
 #pragma once
 
 #include <array>
@@ -63,7 +68,9 @@ struct UringParams {
   /// Slice size in bytes; 0 = everything from base_offset to end of file.
   /// Must be sector aligned.
   Bytes capacity = 0;
-  std::uint32_t queue_depth = 64;  ///< bounded in-flight depth (ring size)
+  /// Bounded in-flight depth of this device; the first device opened on a
+  /// context also sizes the shared ring's submission queue with it.
+  std::uint32_t queue_depth = 64;
   bool direct = true;              ///< try O_DIRECT before buffered I/O
   /// Pattern seed reported through seed() so integrity checks can verify
   /// reads against a mkpattern.py-formatted file. Note the pattern is a
@@ -71,12 +78,8 @@ struct UringParams {
   /// absolute offsets [B, B+capacity).
   std::uint64_t seed = 0;
   std::string label = "uring0";
-  /// True when the ring will be driven from an epoll reactor alongside
-  /// other rings: registers an eventfd (exposed via event_fd()) and opens
-  /// the ring without COOP/DEFER_TASKRUN — deferred task running only
-  /// posts CQEs when the issuer enters the kernel, which would starve a
-  /// task blocked in epoll_wait. Leave false when the reactor blocks
-  /// inside this ring (the single-busy-ring fast path).
+  /// No effect. Devices on one context always share its one ring; the
+  /// field remains so existing callers that set it still compile.
   bool multiplex = false;
 };
 
@@ -84,6 +87,10 @@ struct UringParams {
 /// [2^i, 2^(i+1)) SQEs, with the last bucket open-ended.
 inline constexpr std::size_t kUringBatchBuckets = 8;
 
+/// Per-device counters, plus ring-level ones (enter_syscalls through
+/// batch_size_log2) that a ring counts once and reports only on the device
+/// that opened it — zero on the devices that attached later — so sums over
+/// a context's devices stay exact.
 struct UringStats {
   std::uint64_t submitted = 0;         ///< requests accepted by submit()
   std::uint64_t completed = 0;         ///< requests fully completed
@@ -93,19 +100,19 @@ struct UringStats {
   std::uint64_t fixed_buffer_ops = 0;  ///< ops that used a registered buffer
   std::uint64_t direct_ops = 0;        ///< ops issued through the O_DIRECT fd
   std::uint64_t backlog_peak = 0;      ///< max requests parked beyond queue_depth
-  std::uint64_t enter_syscalls = 0;    ///< io_uring_enter calls (flush + wait)
+  std::uint64_t enter_syscalls = 0;    ///< io_uring_enter calls (ring-level)
   std::uint64_t flush_batches = 0;     ///< enters that carried >= 1 SQE
   std::uint64_t sqes_flushed = 0;      ///< SQEs pushed by those enters
   std::uint64_t batch_size_max = 0;    ///< largest single flushed batch
   /// Histogram of flushed batch sizes: bucket i counts batches in
   /// [2^i, 2^(i+1)), last bucket open-ended.
   std::array<std::uint64_t, kUringBatchBuckets> batch_size_log2{};
-  std::uint32_t setup_flags = 0;       ///< IORING_SETUP_* the ring got
-  bool eventfd_registered = false;     ///< multiplex eventfd active
+  std::uint32_t setup_flags = 0;       ///< IORING_SETUP_* the shared ring got
 
-  /// enter_syscalls per completed request — the submission-batching figure
-  /// of merit (one enter per request ~= 1.0+; deep batched pipelines reach
-  /// well below 0.2).
+  /// enter_syscalls per completed request. io_uring_enter is the only
+  /// syscall the reactor makes while I/O is in flight, so over a context's
+  /// devices this is its whole syscall cost per request (one enter per
+  /// request ~= 1.0+; deep batched pipelines reach well below 0.2).
   [[nodiscard]] double syscalls_per_request() const {
     return completed > 0 ? static_cast<double>(enter_syscalls) /
                                static_cast<double>(completed)
@@ -113,7 +120,7 @@ struct UringStats {
   }
 
   /// Field list for merge and export (common/stat_fields.hpp); the ring's
-  /// setup_flags and eventfd_registered are per-device facts, not counters.
+  /// setup_flags is a fact, not a counter.
   template <class V, class... S>
   static void fields(V& v, S&... s) {
     v.sum("submitted", s.submitted...);
@@ -133,22 +140,26 @@ struct UringStats {
   }
 };
 
-class UringBlockDevice final : public BlockDevice, public exec::CompletionDriver {
+class UringBlockDevice final : public BlockDevice {
  public:
-  /// Open the backing file and set up the ring. Fails (as a value, no
-  /// exceptions) when the file can't be opened, the slice exceeds the file,
-  /// or the kernel rejects io_uring setup. On success the device has
-  /// registered itself as a completion driver on `ctx`; destruction
-  /// unregisters it, so the device must not outlive the context.
+  /// Open the backing file and attach it to `ctx`'s ring, setting the ring
+  /// up (and installing it as the context's CompletionDriver) on the first
+  /// open. Fails (as a value, no exceptions) when the file can't be opened,
+  /// the slice exceeds the file, the kernel rejects io_uring setup or is
+  /// older than 5.11, the ring's completion queue can't take this device's
+  /// depth, or `ctx` already has a driver that is not a ring. The device
+  /// must not outlive the context.
   [[nodiscard]] static Result<std::unique_ptr<UringBlockDevice>> open(
       exec::RealContext& ctx, UringParams params);
 
+  /// Drains this device's requests (running the context's reactor poll, so
+  /// other devices' completions are delivered too) before detaching.
   ~UringBlockDevice() override;
 
   /// Asserts sector alignment and slice bounds like every other device.
   /// Never completes inline: every request, including one without a data
   /// pointer, completes from the ring. A data-less request transfers
-  /// through a device-owned scratch buffer (4096-aligned, zero-initialised
+  /// through a ring-owned scratch buffer (4096-aligned, zero-initialised
   /// when first allocated, recycled per size), so timing-only callers —
   /// raw clients, the server's direct paths — cost what a real read costs.
   /// A data-less write stores whatever that buffer holds.
@@ -158,32 +169,28 @@ class UringBlockDevice final : public BlockDevice, public exec::CompletionDriver
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::uint64_t seed() const;
 
-  // exec::CompletionDriver
-  /// Reap ready CQEs; with `max_wait` > 0 and nothing ready, flushes any
-  /// staged SQEs and blocks in the ring — submit and wait combined into a
-  /// single io_uring_enter when the kernel supports EXT_ARG.
-  std::size_t poll(SimTime max_wait) override;
-  [[nodiscard]] std::size_t in_flight() const override;
-  /// Push every staged SQE to the kernel with one io_uring_enter. Returns
-  /// the number of SQEs flushed (0 = no syscall made).
-  std::size_t flush() override;
-  /// The registered completion eventfd when opened with multiplex=true,
-  /// else -1.
-  [[nodiscard]] int event_fd() const override;
+  /// This device's requests submitted and not yet completed (in the ring
+  /// or parked in its backlog).
+  [[nodiscard]] std::size_t in_flight() const;
 
-  /// Register memory regions (e.g. ExtentSlab::regions()) as io_uring fixed
-  /// buffers. Call once, before I/O is in flight; at most 1024 regions are
-  /// registered (the kernel iovec limit), the rest simply stay unfixed.
-  /// Best-effort: on error the device keeps working without fixed buffers.
+  /// Register memory regions (e.g. ExtentSlab::regions()) as fixed buffers
+  /// of the shared ring. Once per ring, before I/O is in flight: a repeat
+  /// call on any device of the ring returns an "already registered" error.
+  /// At most 1024 regions are registered (the kernel iovec limit), the rest
+  /// simply stay unfixed. Best-effort: on error the ring keeps working
+  /// without fixed buffers.
   Status register_buffers(const std::vector<std::pair<std::byte*, Bytes>>& regions);
 
+  /// This device's counters; the ring-level ones are filled in only on the
+  /// device that opened the ring (see UringStats).
   [[nodiscard]] const UringStats& stats() const;
   /// True when the backing file accepted O_DIRECT (tmpfs doesn't; those
   /// runs transparently use buffered I/O instead).
   [[nodiscard]] bool using_direct() const;
 
  private:
-  struct Impl;
+  struct Impl;  ///< one device: its file, depth cap, backlog and counters
+  struct Ring;  ///< the context's one io_uring, shared by its devices
   explicit UringBlockDevice(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };

@@ -3,24 +3,20 @@
 // RealContext runs the same callback graph the simulator runs, but `now()`
 // is the monotonic clock (nanoseconds since construction, so time starts at
 // zero like a simulation) and scheduled tasks fire from a reactor loop.
-// Between due timers the loop drains registered CompletionDrivers — sources
-// of asynchronous completions such as the io_uring block device — so I/O
-// completions and timer callbacks are delivered on one thread, preserving
-// the single-threaded execution model every layer above the block-device
-// seam was written against.
+// Between due timers the loop drains the context's one CompletionDriver —
+// the io_uring every UringBlockDevice opened on this context shares — so
+// I/O completions and timer callbacks are delivered on one thread,
+// preserving the single-threaded execution model every layer above the
+// block-device seam was written against.
 //
-// The reactor is event-driven, not polling. Each turn it (1) sweeps all
-// busy drivers non-blocking — batched devices only write SQEs locally, and
-// staged submissions deliberately ride along until a blocking decision so
-// completion callbacks coalesce into larger batches — and only when
-// nothing was ready (2) blocks: inside the single busy ring (staged
-// submissions and the completion wait combined into one io_uring_enter)
-// when exactly one eventfd-less driver has I/O in flight, or in one
-// epoll_wait over every busy driver's eventfd plus a timerfd armed at the
-// timer heap's next deadline otherwise, flushing every driver's staged
-// batch first. Idle contexts (no I/O in flight) sleep exactly until the
-// next timer. ReactorStats counts wakeups, and classifies them
-// (completion / timer / spurious).
+// The reactor has one blocking primitive. Each turn it reaps completions
+// already posted (no syscall; staged submissions stay local so callbacks
+// that submit coalesce into one batch), and only when nothing was ready
+// blocks: with I/O in flight inside the driver's poll — for the ring, one
+// io_uring_enter that submits the staged batch and waits for completions
+// with the next timer's deadline as its timeout — and with no I/O in
+// flight in a plain sleep until the next timer. ReactorStats counts
+// wakeups and classifies them (completion / timer / spurious).
 //
 // Task bookkeeping mirrors the simulator's slab: slots are recycled through
 // a free list, handles address (slot, generation), and cancelled heap
@@ -37,34 +33,21 @@
 
 namespace sst::exec {
 
-/// A pollable source of asynchronous completions (an io_uring reactor, an
-/// eventfd, ...). RealContext drains drivers between timer callbacks.
+/// The reactor's source of asynchronous completions: the io_uring shared
+/// by a context's UringBlockDevices, or a test fake. RealContext drains it
+/// between timer callbacks.
 class CompletionDriver {
  public:
   virtual ~CompletionDriver() = default;
 
-  /// Deliver ready completions, blocking up to `max_wait` nanoseconds when
-  /// none are ready yet. Returns the number of completions delivered.
-  /// Blocking implementations should flush staged submissions first (and
-  /// ideally combine the flush with the wait in one syscall).
+  /// Deliver ready completions. poll(0) must not block; with `max_wait` >
+  /// 0 and nothing ready it pushes staged submissions and blocks up to
+  /// `max_wait` nanoseconds for completions (ideally both in one syscall).
+  /// Returns the number of completion events handled.
   virtual std::size_t poll(SimTime max_wait) = 0;
 
   /// Operations submitted and not yet completed.
   [[nodiscard]] virtual std::size_t in_flight() const = 0;
-
-  /// Push locally staged submissions toward the kernel. Batched drivers
-  /// override this; the default no-op suits drivers that submit eagerly.
-  /// Implementations may hold small batches back while enough of their own
-  /// work remains in flight (plugging), but must guarantee forward
-  /// progress: never return with work staged and nothing in flight.
-  /// Returns the number of submissions flushed.
-  virtual std::size_t flush() { return 0; }
-
-  /// An fd that becomes readable when completions arrive, or -1 when the
-  /// driver cannot be multiplexed. The reactor epolls it when several
-  /// drivers are busy at once, draining its readability (an 8-byte
-  /// eventfd-style read) before calling poll(0).
-  [[nodiscard]] virtual int event_fd() const { return -1; }
 };
 
 /// Reactor wakeup accounting, exported as the reactor.* metrics group by
@@ -74,10 +57,8 @@ struct ReactorStats {
   std::uint64_t completion_wakeups = 0;///< returned with completions delivered
   std::uint64_t timer_wakeups = 0;     ///< returned at the armed deadline
   std::uint64_t spurious_wakeups = 0;  ///< returned early with nothing to do
-  std::uint64_t epoll_waits = 0;       ///< multi-driver epoll_wait blocks
-  std::uint64_t inring_waits = 0;      ///< single-driver in-ring blocks
   std::uint64_t idle_sleeps = 0;       ///< no-I/O sleeps until the next timer
-  std::uint64_t completions = 0;       ///< completions the reactor delivered
+  std::uint64_t completions = 0;       ///< completion events the reactor handled
 
   /// Field list for merge and export (common/stat_fields.hpp).
   template <class V, class... S>
@@ -86,8 +67,6 @@ struct ReactorStats {
     v.sum("completion_wakeups", s.completion_wakeups...);
     v.sum("timer_wakeups", s.timer_wakeups...);
     v.sum("spurious_wakeups", s.spurious_wakeups...);
-    v.sum("epoll_waits", s.epoll_waits...);
-    v.sum("inring_waits", s.inring_waits...);
     v.sum("idle_sleeps", s.idle_sleeps...);
     v.sum("completions", s.completions...);
   }
@@ -96,7 +75,6 @@ struct ReactorStats {
 class RealContext final : public ExecutionContext {
  public:
   RealContext();
-  ~RealContext() override;
 
   /// Monotonic nanoseconds since construction.
   [[nodiscard]] SimTime now() const override;
@@ -105,19 +83,18 @@ class RealContext final : public ExecutionContext {
   /// the reactor's next turn.
   TaskHandle schedule_at(SimTime when, TaskFn fn) override;
 
-  /// Register/unregister a completion source. Drivers must outlive their
-  /// registration and are polled in registration order. A driver exposing
-  /// an event_fd() is added to the reactor's epoll set.
-  void add_driver(CompletionDriver* driver);
-  void remove_driver(CompletionDriver* driver);
+  /// Install the context's completion source; nullptr uninstalls it. A
+  /// context holds at most one driver, which must outlive its installation.
+  void set_driver(CompletionDriver* driver) { driver_ = driver; }
+  [[nodiscard]] CompletionDriver* driver() const { return driver_; }
 
-  /// Run timers and completion drivers until the wall clock reaches
+  /// Run timers and the completion driver until the wall clock reaches
   /// `deadline` (nanoseconds since construction). Tasks due exactly at the
   /// deadline still run; like Simulator::run_until, consecutive calls see
   /// contiguous time.
   void run_until(SimTime deadline);
 
-  /// Run until no timers are pending and no driver has I/O in flight.
+  /// Run until no timers are pending and the driver has no I/O in flight.
   void run();
 
   [[nodiscard]] std::size_t pending_tasks() const { return live_; }
@@ -160,26 +137,21 @@ class RealContext final : public ExecutionContext {
   /// Fire every timer due at or before the current wall clock. Returns the
   /// number fired.
   std::size_t fire_due();
-  [[nodiscard]] std::size_t total_in_flight() const;
-  /// Flush staged submissions, sweep for ready completions, and block up
-  /// to `max_wait` ns for I/O or the deadline (whichever comes first).
+  [[nodiscard]] std::size_t in_flight() const {
+    return driver_ != nullptr ? driver_->in_flight() : 0;
+  }
+  /// Reap ready completions, and when there were none block up to
+  /// `max_wait` ns for I/O or the deadline (whichever comes first).
   void wait_for_work(SimTime max_wait);
-  /// Block in one epoll_wait over every busy driver's eventfd plus the
-  /// deadline timerfd. Pre-condition: a non-blocking sweep came up empty.
-  void wait_multiplexed(SimTime max_wait);
-  /// Consume an eventfd-style readable signal without blocking.
-  static void drain_event_fd(int fd);
 
   std::chrono::steady_clock::time_point epoch_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
-  std::vector<CompletionDriver*> drivers_;
+  CompletionDriver* driver_ = nullptr;
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  int epoll_fd_ = -1;  ///< multiplexes driver eventfds + timer_fd_
-  int timer_fd_ = -1;  ///< arms the timer heap's next deadline for epoll
   ReactorStats stats_;
 };
 

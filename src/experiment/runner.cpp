@@ -683,10 +683,9 @@ std::unique_ptr<Cell> run_real_cell(const ExperimentConfig& config, const Experi
   auto cell = std::make_unique<Cell>(ctx, k, slice, config.slo.window);
   cell->own_ctx = std::move(reactor);
 
-  // One io_uring slice of backend.path per physical device. Rings open
-  // multiplex (registered eventfd) when the reactor drives several through
-  // epoll; a sole ring is fastest with the reactor blocked inside it.
-  std::vector<blockdev::UringBlockDevice*> rings;
+  // One slice of backend.path per physical device, all on the reactor's
+  // one io_uring.
+  std::vector<blockdev::UringBlockDevice*> devices;
   for (std::uint32_t d = 0; d < slice.dev_count; ++d) {
     const std::uint32_t global = slice.dev_begin + d;
     blockdev::UringParams params;
@@ -696,10 +695,9 @@ std::unique_ptr<Cell> run_real_cell(const ExperimentConfig& config, const Experi
     params.queue_depth = config.backend.queue_depth;
     params.direct = config.backend.direct;
     params.label = "uring" + std::to_string(global);
-    params.multiplex = slice.dev_count > 1;
     auto device = blockdev::UringBlockDevice::open(ctx, params);
     if (!device.ok()) reject_real(device.error().message);
-    rings.push_back(device.value().get());
+    devices.push_back(device.value().get());
     cell->owned_base.push_back(std::move(device).value());
   }
   io::StackSpec stack_spec = config.topology.stack;
@@ -712,13 +710,13 @@ std::unique_ptr<Cell> run_real_cell(const ExperimentConfig& config, const Experi
     stack_spec = flat.shard_slice(slice.dev_begin, slice.dev_count).stack;
   }
   build_cell(*cell, config, plan, stack_spec,
-             std::vector<blockdev::BlockDevice*>(rings.begin(), rings.end()));
+             std::vector<blockdev::BlockDevice*>(devices.begin(), devices.end()));
 
   if (cell->server) {
     // Pre-warm the extent slab to the steady-state working set and register
-    // it with every ring: requests whose buffers land in these extents use
-    // fixed (pre-pinned) buffers. Best-effort — registration failure (e.g.
-    // locked-memory limits) just means plain READ/WRITE ops.
+    // it with the reactor's ring: requests whose buffers land in these
+    // extents use fixed (pre-pinned) buffers. Best-effort — registration
+    // failure (e.g. locked-memory limits) just means plain READ/WRITE ops.
     core::BufferPool& pool = cell->server->scheduler().pool();
     {
       std::vector<std::unique_ptr<core::IoBuffer>> warm;
@@ -729,7 +727,7 @@ std::unique_ptr<Cell> run_real_cell(const ExperimentConfig& config, const Experi
       }
     }
     const auto regions = pool.extent_slab().regions();
-    for (blockdev::UringBlockDevice* ring : rings) (void)ring->register_buffers(regions);
+    (void)devices.front()->register_buffers(regions);
   }
 
   for (std::uint32_t i = 0; i < plan.streams.size(); ++i) {
@@ -761,9 +759,9 @@ std::unique_ptr<Cell> run_real_cell(const ExperimentConfig& config, const Experi
   // Stop admitting work, then let in-flight I/O (and the scheduler's tail
   // of read-ahead) drain while every callback target is still alive.
   cell->draining = true;
-  auto in_flight = [&rings]() {
+  auto in_flight = [&devices]() {
     std::size_t total = 0;
-    for (const blockdev::UringBlockDevice* ring : rings) total += ring->in_flight();
+    for (const blockdev::UringBlockDevice* device : devices) total += device->in_flight();
     return total;
   };
   while (in_flight() > 0) ctx.run_until(ctx.now() + msec(5));
@@ -819,12 +817,12 @@ ExperimentResult drive_real(const ExperimentConfig& config, const ExperimentPlan
   r.reactors = n;
   r.requested = config.backend.reactors;
   for (const auto& cell : cells) {
-    for (const auto& device : cell->owned_base) {
-      const auto& ring = static_cast<const blockdev::UringBlockDevice&>(*device);
+    for (const auto& base : cell->owned_base) {
+      const auto& device = static_cast<const blockdev::UringBlockDevice&>(*base);
       ++u.devices;
-      if (ring.using_direct()) ++u.direct_devices;
-      accumulate(u, ring.stats());
-      u.per_device_completed.push_back(ring.stats().completed);
+      if (device.using_direct()) ++u.direct_devices;
+      accumulate(u, device.stats());
+      u.per_device_completed.push_back(device.stats().completed);
     }
     accumulate(r, static_cast<const exec::RealContext&>(*cell->own_ctx).reactor_stats());
   }

@@ -103,14 +103,14 @@ struct ExperimentConfig {
   BackendConfig backend;
 };
 
-/// io_uring device counters summed over every ring of a real run (peaks
+/// io_uring device counters summed over every device of a real run (peaks
 /// max-merged); `enabled` only when backend.kind = real executed, which
 /// gates the uring.* metrics group (sim exports stay byte-identical).
 struct UringSummary : blockdev::UringStats {
   bool enabled = false;
-  std::uint32_t devices = 0;         ///< rings opened (one per physical device)
-  std::uint32_t direct_devices = 0;  ///< rings whose backing fd took O_DIRECT
-  /// Completed requests per ring (global physical device order) — the
+  std::uint32_t devices = 0;         ///< devices opened (one per physical device)
+  std::uint32_t direct_devices = 0;  ///< devices whose backing fd took O_DIRECT
+  /// Completed requests per device (global physical device order) — the
   /// balance figure the multi-reactor CI smoke asserts on.
   std::vector<std::uint64_t> per_device_completed;
 };

@@ -47,6 +47,12 @@ void write_escaped(std::ostream& os, std::string_view s) {
 
 }  // namespace
 
+std::string json_escaped(std::string_view s) {
+  std::ostringstream os;
+  write_escaped(os, s);
+  return os.str();
+}
+
 HistogramSnapshot HistogramSnapshot::from(const stats::LatencyHistogram& h) {
   HistogramSnapshot snap;
   snap.count = h.count();

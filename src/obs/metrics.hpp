@@ -17,6 +17,10 @@
 
 namespace sst::obs {
 
+/// `s` escaped for the inside of a JSON string literal (quotes, backslashes
+/// and control characters).
+[[nodiscard]] std::string json_escaped(std::string_view s);
+
 /// A latency histogram frozen for export: headline quantiles plus the
 /// non-empty buckets (whose counts sum to `count`).
 struct HistogramSnapshot {

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "blockdev/mem_block_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "blockdev/sim_block_device.hpp"
 #include "controller/controller.hpp"
 #include "sim/simulator.hpp"

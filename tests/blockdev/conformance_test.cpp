@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "../support/delayed_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "blockdev/block_device.hpp"
-#include "blockdev/delayed_device.hpp"
-#include "blockdev/mem_block_device.hpp"
 #include "blockdev/sim_block_device.hpp"
 #include "controller/controller.hpp"
 #include "core/reliable_device.hpp"
@@ -127,26 +127,28 @@ struct ReliableHarness final : DeviceHarness {
 #if defined(SST_WITH_URING)
 /// Real-I/O harness: a 4 MiB pattern-formatted temp file behind
 /// UringBlockDevice. run_all() spins the RealContext reactor until the
-/// ring drains. With `multiplex` the ring registers an eventfd and the
-/// reactor delivers completions through its epoll path — the multi-device
-/// configuration — so the conformance contract is exercised on both
-/// blocking disciplines.
+/// ring drains. With `shared` the file is two 2 MiB slices, each holding
+/// the pattern from offset 0, and the contract runs against the second of
+/// two devices on one RealContext — a device that attached to the ring the
+/// first one set up.
 struct UringHarness final : DeviceHarness {
+  static constexpr Bytes kFile = 4 * MiB;
   std::string path;
   exec::RealContext rctx;
+  std::unique_ptr<UringBlockDevice> first;  ///< ring owner when `shared`
   std::unique_ptr<UringBlockDevice> dev;
 
-  explicit UringHarness(bool multiplex = false) {
+  explicit UringHarness(bool shared = false) {
     char tmpl[] = "/tmp/sst_conformance_XXXXXX";
     const int fd = ::mkstemp(tmpl);
     if (fd < 0) throw std::runtime_error("mkstemp failed");
     ::close(fd);
     path = tmpl;
-    constexpr Bytes kFile = 4 * MiB;
+    const Bytes slice = shared ? kFile / 2 : kFile;
     std::vector<std::byte> chunk(1 * MiB);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     for (Bytes off = 0; off < kFile; off += chunk.size()) {
-      fill_pattern(kSeed, off, chunk.data(), chunk.size());
+      fill_pattern(kSeed, off % slice, chunk.data(), chunk.size());
       out.write(reinterpret_cast<const char*>(chunk.data()),
                 static_cast<std::streamsize>(chunk.size()));
     }
@@ -155,16 +157,25 @@ struct UringHarness final : DeviceHarness {
     params.path = path;
     params.queue_depth = 32;
     params.seed = kSeed;
-    params.multiplex = multiplex;
+    if (shared) {
+      params.capacity = slice;
+      first = open(params);
+      params.base_offset = slice;
+    }
+    dev = open(params);
+  }
+
+  std::unique_ptr<UringBlockDevice> open(const UringParams& params) {
     auto result = UringBlockDevice::open(rctx, params);
     if (!result.ok()) {
       throw std::runtime_error("uring open failed: " + result.error().message);
     }
-    dev = std::move(result.value());
+    return std::move(result).value();
   }
 
   ~UringHarness() override {
-    dev.reset();  // drains + deregisters before the context goes away
+    dev.reset();  // drains + detaches before the context goes away
+    first.reset();
     if (!path.empty()) ::unlink(path.c_str());
   }
 
@@ -356,7 +367,7 @@ TEST_P(BlockDeviceConformance, DataLessRequestsCompleteForTimingOnlyCallers) {
 #if defined(SST_WITH_URING)
 // The real device never completes inside submit(): a data-less read (a
 // timing-only caller such as a raw client or the server's direct path)
-// borrows a device-owned scratch buffer, travels through the ring and
+// borrows a ring-owned scratch buffer, travels through the ring and
 // counts like any other request. An inline completion would let a closed
 // loop of such reads recurse until the reactor thread's stack overflows.
 TEST_P(BlockDeviceConformance, DataLessReadCompletesOnlyFromTheRing) {
@@ -394,10 +405,10 @@ std::vector<HarnessSpec> conformance_specs() {
 #if defined(SST_WITH_URING)
   specs.push_back(
       {"uring", [] { return std::unique_ptr<DeviceHarness>(new UringHarness); }, true});
-  specs.push_back({"uring_multiplex",
+  specs.push_back({"uring_shared",
                    [] {
                      return std::unique_ptr<DeviceHarness>(
-                         new UringHarness(/*multiplex=*/true));
+                         new UringHarness(/*shared=*/true));
                    },
                    true});
 #endif

@@ -5,7 +5,7 @@
 #include <map>
 #include <vector>
 
-#include "blockdev/mem_block_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "core/dispatch_policy.hpp"
 #include "sim/simulator.hpp"
 

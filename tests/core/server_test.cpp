@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "blockdev/mem_block_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "sim/simulator.hpp"
 
 namespace sst::core {

@@ -1,9 +1,8 @@
 // RealContext reactor tests: timer-slab lifecycle (cancel / reschedule /
-// generation reuse), run_until with interleaved completion drivers, the
-// idle-sleep discipline (no 1 ms polling between timers), and the epoll
-// multiplexing path driven by deterministic fake eventfd-backed drivers —
-// asserting completions are neither lost nor delivered as spurious
-// wakeups.
+// generation reuse), run_until with an interleaved completion driver, and
+// the idle-sleep discipline (no 1 ms polling between timers). The reactor
+// over a real shared io_uring is covered in
+// tests/blockdev/shared_ring_test.cpp.
 //
 // These tests run against the wall clock, so they assert on counts and
 // event ordering, never on precise durations; the only timing bound used
@@ -12,11 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/eventfd.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -132,10 +127,9 @@ TEST(RealContextIdle, SleepsBetweenTimersInsteadOfPolling) {
       << " times for 5 spaced timers - polling crept back in";
 }
 
-/// Deterministic completion source without an eventfd: completions become
-/// deliverable when the wall clock passes their deadline, so poll() is
-/// exact and repeatable. Models a driver the reactor must poll (the
-/// pre-epoll discipline).
+/// Deterministic completion source: completions become deliverable when
+/// the wall clock passes their deadline, so poll() is exact and
+/// repeatable.
 class TimedPollDriver final : public CompletionDriver {
  public:
   explicit TimedPollDriver(RealContext& ctx) : ctx_(&ctx) {}
@@ -183,7 +177,7 @@ class TimedPollDriver final : public CompletionDriver {
 TEST(RealContextDrivers, RunUntilInterleavesTimersAndCompletions) {
   RealContext ctx;
   TimedPollDriver driver(ctx);
-  ctx.add_driver(&driver);
+  ctx.set_driver(&driver);
 
   // Timers and completions landing interleaved on the same timeline; each
   // timer also starts the next I/O, so both sources stay active the whole
@@ -216,123 +210,25 @@ TEST(RealContextDrivers, RunUntilInterleavesTimersAndCompletions) {
   ctx.run_until(ctx.now() + usec(500));
   EXPECT_TRUE(past_fired);
 
-  ctx.remove_driver(&driver);
+  ctx.set_driver(nullptr);
 }
 
-/// Deterministic eventfd-backed completion source for the epoll path: a
-/// producer (the test) deposits completions and signals the eventfd —
-/// exactly the contract a multiplexed io_uring ring follows. in_flight()
-/// counts deposits not yet delivered through poll().
-class EventfdDriver final : public CompletionDriver {
- public:
-  EventfdDriver() : efd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
-  ~EventfdDriver() override {
-    if (efd_ >= 0) ::close(efd_);
-  }
-
-  /// Producer side (any thread): make `n` completions deliverable.
-  void complete(std::uint64_t n) {
-    ready_.fetch_add(n, std::memory_order_release);
-    const std::uint64_t one = n;
-    [[maybe_unused]] const ssize_t rc = ::write(efd_, &one, sizeof(one));
-  }
-
-  void expect(std::uint64_t n) { expected_.fetch_add(n, std::memory_order_relaxed); }
-
-  std::size_t poll(SimTime) override {
-    const std::uint64_t n = ready_.exchange(0, std::memory_order_acquire);
-    expected_.fetch_sub(n, std::memory_order_relaxed);
-    delivered += n;
-    return n;
-  }
-
-  [[nodiscard]] std::size_t in_flight() const override {
-    return expected_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] int event_fd() const override { return efd_; }
-
-  std::uint64_t delivered = 0;
-
- private:
-  int efd_ = -1;
-  std::atomic<std::uint64_t> ready_{0};
-  std::atomic<std::uint64_t> expected_{0};
-};
-
-TEST(RealContextEpoll, MultiplexedDriversLoseNoWakeupsAndReportNoSpurious) {
+TEST(RealContextDrivers, WaitEndingAtTheSafetyCapIsATimerWakeup) {
   RealContext ctx;
-  EventfdDriver a;
-  EventfdDriver b;
-  ctx.add_driver(&a);
-  ctx.add_driver(&b);
-
-  // Both drivers busy for the whole run => every block is an epoll_wait
-  // over both eventfds. Producers deliver in deterministic counts from a
-  // helper thread (the reactor thread is inside run()).
-  constexpr std::uint64_t kPerDriver = 200;
-  a.expect(kPerDriver);
-  b.expect(kPerDriver);
-  // With both drivers busy and no producer yet, a bounded run must block
-  // in one epoll_wait and return via the armed timerfd deadline — the
-  // deterministic proof that the multiplexed path is in use. (During the
-  // threaded phase below the sweep may legitimately find completions
-  // already posted on every turn and never need to block.)
-  ctx.run_until(ctx.now() + msec(2));
-  EXPECT_GT(ctx.reactor_stats().epoll_waits, 0u);
-  EXPECT_EQ(ctx.reactor_stats().spurious_wakeups, 0u);
-
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kPerDriver / 4; ++i) {
-      a.complete(2);
-      b.complete(1);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      a.complete(2);
-      b.complete(3);
-    }
-  });
-
-  // run() exits only when both drivers drained: a lost wakeup would stall
-  // against the reactor's 1 s safety ceiling instead of the event path.
-  ctx.run();
-  producer.join();
-
-  EXPECT_EQ(a.delivered, kPerDriver);
-  EXPECT_EQ(b.delivered, kPerDriver);
-  EXPECT_EQ(a.in_flight(), 0u);
-  EXPECT_EQ(b.in_flight(), 0u);
-
-  const ReactorStats& stats = ctx.reactor_stats();
-  EXPECT_EQ(stats.spurious_wakeups, 0u);
-  EXPECT_GT(stats.epoll_waits, 0u);
-  EXPECT_EQ(stats.completions, 2 * kPerDriver);
-
-  ctx.remove_driver(&a);
-  ctx.remove_driver(&b);
-}
-
-TEST(RealContextEpoll, TimerDeadlinesHoldWhileDriversAreBusy) {
-  RealContext ctx;
-  EventfdDriver driver;
-  ctx.add_driver(&driver);
-
-  // A busy driver that never completes must not block timer delivery: the
-  // timerfd in the epoll set bounds every wait by the next deadline.
-  driver.expect(1);
-  int fired = 0;
-  for (int i = 1; i <= 3; ++i) {
-    ctx.schedule_after(msec(2) * i, [&fired] { ++fired; });
-  }
-  ctx.run_until(ctx.now() + msec(10));
-  EXPECT_EQ(fired, 3);
-
-  // Completing the outstanding I/O lets run() terminate.
-  driver.complete(1);
-  ctx.run();
+  TimedPollDriver driver(ctx);
+  ctx.set_driver(&driver);
+  // A 1.2 s run and one completion 1.1 s out: the first blocking wait ends
+  // at the reactor's 1 s ceiling — a deadline it armed, not a spurious
+  // return — and the next one delivers the completion.
+  const SimTime start = ctx.now();
+  driver.start(start + msec(1100));
+  ctx.run_until(start + msec(1200));
   EXPECT_EQ(driver.delivered, 1u);
-  EXPECT_EQ(ctx.reactor_stats().spurious_wakeups, 0u);
-
-  ctx.remove_driver(&driver);
+  const ReactorStats& stats = ctx.reactor_stats();
+  EXPECT_GE(stats.timer_wakeups, 1u);
+  EXPECT_EQ(stats.completion_wakeups, 1u);
+  EXPECT_EQ(stats.spurious_wakeups, 0u);
+  ctx.set_driver(nullptr);
 }
 
 }  // namespace

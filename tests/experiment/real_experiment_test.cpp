@@ -1,8 +1,10 @@
 // Real-backend experiment runner: run_experiment with backend.kind=real over
 // a small pattern-formatted file, across {raw, staged} x backend.reactors
 // {1, 2}, plus the staged server over a fault + retry stack, a 2-way mirror
-// and a stripe, and raw clients behind the network link. Built only with -DSST_WITH_URING=ON; every test skips when
-// the kernel refuses io_uring.
+// and a stripe, and raw clients behind the network link. The {raw, staged}
+// x {1, 2} runs also assert that no reactor wakeup was spurious. Built only
+// with -DSST_WITH_URING=ON; every test skips when the kernel refuses
+// io_uring.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
@@ -134,18 +136,21 @@ TEST_F(RealExperiment, RawOneReactor) {
   const ExperimentResult result = run_experiment(config(false, 1));
   expect_healthy(result);
   EXPECT_EQ(result.reactor_summary.reactors, 1u);
+  EXPECT_EQ(result.reactor_summary.spurious_wakeups, 0u);
 }
 
 TEST_F(RealExperiment, RawTwoReactors) {
   const ExperimentResult result = run_experiment(config(false, 2));
   expect_healthy(result);
   EXPECT_EQ(result.reactor_summary.reactors, 2u);
+  EXPECT_EQ(result.reactor_summary.spurious_wakeups, 0u);
 }
 
 TEST_F(RealExperiment, StagedOneReactor) {
   const ExperimentResult result = run_experiment(config(true, 1));
   expect_healthy(result);
   EXPECT_GT(result.scheduler_stats.disk_reads, 0u);
+  EXPECT_EQ(result.reactor_summary.spurious_wakeups, 0u);
 }
 
 TEST_F(RealExperiment, StagedTwoReactors) {
@@ -153,6 +158,7 @@ TEST_F(RealExperiment, StagedTwoReactors) {
   expect_healthy(result);
   EXPECT_EQ(result.reactor_summary.reactors, 2u);
   EXPECT_GT(result.scheduler_stats.disk_reads, 0u);
+  EXPECT_EQ(result.reactor_summary.spurious_wakeups, 0u);
 }
 
 TEST_F(RealExperiment, MetricsKeySetIsIndependentOfReactorCount) {

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "blockdev/mem_block_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "core/reliable_device.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/sweep.hpp"

@@ -5,8 +5,8 @@
 
 #include <map>
 
-#include "blockdev/delayed_device.hpp"
-#include "blockdev/mem_block_device.hpp"
+#include "../support/delayed_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "common/random.hpp"
 #include "core/server.hpp"
 #include "sim/simulator.hpp"

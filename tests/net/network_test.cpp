@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "blockdev/mem_block_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "experiment/runner.hpp"
 #include "core/server.hpp"
 #include "fault/injector.hpp"

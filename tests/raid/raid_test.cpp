@@ -3,7 +3,7 @@
 #include <set>
 #include <vector>
 
-#include "blockdev/mem_block_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "raid/mirrored_volume.hpp"
 #include "raid/striped_volume.hpp"
 #include "sim/simulator.hpp"

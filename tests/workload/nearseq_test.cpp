@@ -7,7 +7,7 @@
 // treat skipped bytes as consumed.
 #include <gtest/gtest.h>
 
-#include "blockdev/mem_block_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "core/server.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "blockdev/mem_block_device.hpp"
+#include "../support/mem_block_device.hpp"
 #include "sim/simulator.hpp"
 
 namespace sst::workload {
